@@ -6,16 +6,9 @@
 // the ReplayEngine in single mode and in batch mode across a sweep of
 // batch sizes, and reports samples/s plus the speedup over single mode.
 // With per-sample work this small, the single-mode cost is dominated by
-// spawning one thread per atom per sample — exactly what the batched
-// pipeline's persistent consumers amortize; the expectation (asserted
-// by CI eyeballs, not exit codes) is batch >= 8 at least matching
-// single mode.
-//
-// Every mode runs twice: with the legacy map feed (replay_frames off,
-// the PR-over-PR baseline keys) and with the compiled frame feed
-// (columnar ReplayPlan + lane masks + lock-free SPSC rings). The
-// "frames" column is the frame feed's speedup over the map feed in the
-// same mode.
+// the per-sample lockstep barrier — exactly what wider windows
+// amortize; the expectation (asserted by CI eyeballs, not exit codes)
+// is batch >= 8 at least matching single mode.
 //
 // A second, decode-bound section replays the same profile out of a
 // files-backed ProfileStore written once as JSON and once as SYNB
@@ -67,11 +60,10 @@ profile::Profile make_dispatch_bound_profile(size_t samples) {
   return spec.make_profile();
 }
 
-double run_once(const profile::Profile& p, size_t batch, bool frames) {
+double run_once(const profile::Profile& p, size_t batch) {
   emulator::EmulatorOptions opts = bench::emu_options();
   opts.atom_set = {"compute", "memory", "storage"};
   opts.replay_batch = batch;
-  opts.replay_frames = frames;
   emulator::ReplayEngine engine(opts);
   const sys::Stopwatch w;
   const auto r = engine.replay(p);
@@ -84,13 +76,11 @@ double run_once(const profile::Profile& p, size_t batch, bool frames) {
   return elapsed;
 }
 
-/// The feed-representation showcase: a memory atom with a 1 KiB
-/// alloc/free per sample — sub-microsecond of real work, so per-sample
-/// dispatch (map decode + wants() probing + batch latching vs lane
-/// reads through recycled frames) IS the wall time. The other atoms
-/// would mask the feed: storage does real file I/O per sample and the
-/// compute kernel has a fixed per-call floor, bounding their pipelines
-/// regardless of feed representation.
+/// The dispatch showcase: a memory atom with a 1 KiB alloc/free per
+/// sample — sub-microsecond of real work, so per-sample dispatch (lane
+/// reads, ring hand-off, window barrier) IS the wall time. The other
+/// atoms would mask it: storage does real file I/O per sample and the
+/// compute kernel has a fixed per-call floor.
 void dispatch_bound_section(size_t samples) {
   workload::ScenarioSpec spec;
   spec.name = "replay-dispatch-bench";
@@ -100,9 +90,8 @@ void dispatch_bound_section(size_t samples) {
   spec.source.deltas[std::string(m::kMemAllocated)] = 1024.0;
   spec.source.deltas[std::string(m::kMemFreed)] = 1024.0;
   // SYNB round trip: a stored profile arrives with its binary payload,
-  // so the frame plan builds its columnar table straight off the
-  // decode_columns() views — no SampleDelta maps anywhere — while the
-  // map feed must still materialize one metric map per sample.
+  // so the plan builds its columnar table straight off the
+  // decode_columns() views — no SampleDelta maps anywhere.
   const profile::Profile p =
       profile::Profile::from_binary(spec.make_profile().to_binary());
   const double n = static_cast<double>(spec.source.samples);
@@ -110,33 +99,22 @@ void dispatch_bound_section(size_t samples) {
   bench::heading("Dispatch-bound feed — " +
                  std::to_string(spec.source.samples) +
                  " samples, memory atom, 1 KiB budgets");
-  bench::row("%-12s %10s %12s %10s %12s  %s", "mode", "map wall", "map/s",
-             "frame wall", "frames/s", "frames speedup");
+  bench::row("%-12s %10s %12s", "mode", "wall", "samples/s");
 
   for (const size_t batch : {size_t{1}, size_t{8}, size_t{32}}) {
     emulator::EmulatorOptions opts = bench::emu_options();
     opts.atom_set = {"memory"};
     opts.replay_batch = batch;
-
-    opts.replay_frames = false;
-    sys::Stopwatch w;
+    const sys::Stopwatch w;
     emulator::ReplayEngine(opts).replay(p);
-    const double map_s = w.elapsed();
-
-    opts.replay_frames = true;
-    w.reset();
-    emulator::ReplayEngine(opts).replay(p);
-    const double frames_s = w.elapsed();
+    const double wall_s = w.elapsed();
 
     const std::string mode =
         batch <= 1 ? "single" : "batch=" + std::to_string(batch);
-    bench::row("%-12s %9.3fs %10.0f/s %9.3fs %10.0f/s  %4.1fx", mode.c_str(),
-               map_s, n / map_s, frames_s, n / frames_s, map_s / frames_s);
+    bench::row("%-12s %9.3fs %10.0f/s", mode.c_str(), wall_s, n / wall_s);
     const std::string key = batch <= 1 ? "single" : std::to_string(batch);
-    bench::results().record("dispatch", "map_" + key + "_per_s", n / map_s,
-                            "1/s");
     bench::results().record("dispatch", "frames_" + key + "_per_s",
-                            n / frames_s, "1/s");
+                            n / wall_s, "1/s");
   }
 }
 
@@ -288,38 +266,23 @@ int main(int argc, char** argv) {
   }
 
   const profile::Profile p = make_dispatch_bound_profile(samples);
-  // Two dimensions per mode: the legacy map feed (SampleDelta maps,
-  // per-sample wants() probing — the PR-over-PR baseline keys) and the
-  // compiled frame feed (columnar plan + lane masks + SPSC rings,
-  // replay_frames on). "frames" is the per-row speedup of the frame
-  // feed over the map feed in the SAME mode; "speedup" stays the map
-  // feed's gain over map single mode, as before.
   bench::heading("Replay feed modes — " + std::to_string(samples) +
                  " samples, compute+memory+storage");
-  bench::row("%-12s %10s %12s %10s %12s  %8s %s", "mode", "map wall",
-             "map/s", "frame wall", "frames/s", "speedup", "frames");
+  bench::row("%-12s %10s %12s  %8s", "mode", "wall", "samples/s", "speedup");
 
   const double n = static_cast<double>(samples);
-  const double single_s = run_once(p, 1, false);
-  const double single_frames_s = run_once(p, 1, true);
-  bench::row("%-12s %9.3fs %10.0f/s %9.3fs %10.0f/s  %7s %5.1fx", "single",
-             single_s, n / single_s, single_frames_s, n / single_frames_s,
-             "1.0x", single_s / single_frames_s);
-  bench::results().record("feed", "single_per_s", n / single_s, "1/s");
-  bench::results().record("feed", "frames_single_per_s", n / single_frames_s,
-                          "1/s");
+  const double single_s = run_once(p, 1);
+  bench::row("%-12s %9.3fs %10.0f/s  %7s", "single", single_s, n / single_s,
+             "1.0x");
+  bench::results().record("feed", "frames_single_per_s", n / single_s, "1/s");
 
   for (const size_t batch : {size_t{4}, size_t{8}, size_t{16}, size_t{32}}) {
-    const double batch_s = run_once(p, batch, false);
-    const double frames_s = run_once(p, batch, true);
-    bench::row("%-12s %9.3fs %10.0f/s %9.3fs %10.0f/s  %6.1fx %5.1fx",
+    const double batch_s = run_once(p, batch);
+    bench::row("%-12s %9.3fs %10.0f/s  %6.1fx",
                ("batch=" + std::to_string(batch)).c_str(), batch_s,
-               n / batch_s, frames_s, n / frames_s, single_s / batch_s,
-               batch_s / frames_s);
-    bench::results().record("feed", "batch" + std::to_string(batch) +
-                            "_per_s", n / batch_s, "1/s");
+               n / batch_s, single_s / batch_s);
     bench::results().record("feed", "frames_batch" + std::to_string(batch) +
-                            "_per_s", n / frames_s, "1/s");
+                            "_per_s", n / batch_s, "1/s");
   }
 
   dispatch_bound_section(samples);

@@ -17,8 +17,8 @@ void Atom::consume_frame(const profile::DeltaFrame& frame,
     try {
       consume(delta);
     } catch (const std::exception&) {
-      // Failures are recorded in the atom's stats, never propagated —
-      // one atom cannot wedge the frame barrier.
+      // Counted, never propagated: one atom cannot wedge the barrier.
+      ++stats_.errors;
     }
   }
 }

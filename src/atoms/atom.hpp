@@ -29,6 +29,7 @@ struct AtomStats {
   uint64_t net_bytes_sent = 0;
   uint64_t net_bytes_received = 0;
   uint64_t samples_consumed = 0;
+  uint64_t errors = 0;  ///< samples whose consumption threw
 };
 
 /// Field-wise accumulation, used wherever per-rank or per-repetition
@@ -44,6 +45,7 @@ inline void accumulate(AtomStats& into, const AtomStats& from) {
   into.net_bytes_sent += from.net_bytes_sent;
   into.net_bytes_received += from.net_bytes_received;
   into.samples_consumed += from.samples_consumed;
+  into.errors += from.errors;
 }
 
 /// One atom's compiled dispatch decision over one DeltaTable, resolved
@@ -77,8 +79,8 @@ class Atom {
   virtual bool wants(const profile::SampleDelta& delta) const = 0;
 
   /// Consume the resources recorded in one sampling period. Called from
-  /// the atom's dedicated thread; must be exception-safe (failures are
-  /// recorded, not propagated, so one atom cannot wedge the barrier).
+  /// the atom's consumer thread. A throw is counted in stats().errors
+  /// and the replay moves on, so one atom cannot wedge the barrier.
   virtual void consume(const profile::SampleDelta& delta) = 0;
 
   /// The metric names whose positive per-sample delta means this atom
@@ -95,7 +97,7 @@ class Atom {
   virtual void bind_lanes(const profile::LaneTable& lanes) { (void)lanes; }
 
   /// Consume every wanted row of one frame. Same exception contract as
-  /// consume(): failures are recorded, never propagated. The default
+  /// consume(): a failing row is counted in stats().errors. The default
   /// implementation is the compatibility adapter — it re-boxes each row
   /// into a legacy SampleDelta and routes it through wants()/consume(),
   /// so registry-registered custom atoms replay unmodified.
@@ -103,6 +105,10 @@ class Atom {
                              const LaneMask& mask);
 
   const AtomStats& stats() const { return stats_; }
+
+  /// Count one failed consumption (the replay's consumer thread calls
+  /// this when consume_frame() itself throws).
+  void count_error() { ++stats_.errors; }
 
   /// Attach the cooperative trace (emulation runs are themselves
   /// profile-able; the atoms publish the counters they consume).

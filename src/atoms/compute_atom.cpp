@@ -39,7 +39,7 @@ void ComputeAtom::consume_frame(const profile::DeltaFrame& frame,
     try {
       consume_cycles(frame.get(lane_cycles_, row));
     } catch (const std::exception&) {
-      // Same contract as consume(): record, never propagate.
+      ++stats_.errors;  // same contract as consume(): count, never propagate
     }
   }
 }

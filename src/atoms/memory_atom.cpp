@@ -79,7 +79,7 @@ void MemoryAtom::consume_frame(const profile::DeltaFrame& frame,
       consume_bytes(frame.get(lane_allocated_, row),
                     frame.get(lane_freed_, row));
     } catch (const std::exception&) {
-      // Same contract as consume(): record, never propagate.
+      ++stats_.errors;  // same contract as consume(): count, never propagate
     }
   }
 }

@@ -104,7 +104,7 @@ void NetworkAtom::consume_frame(const profile::DeltaFrame& frame,
       consume_traffic(frame.get(lane_written_, row),
                       frame.get(lane_read_, row));
     } catch (const std::exception&) {
-      // Same contract as consume(): record, never propagate.
+      ++stats_.errors;  // same contract as consume(): count, never propagate
     }
   }
 }

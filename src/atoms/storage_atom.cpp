@@ -54,7 +54,7 @@ void StorageAtom::consume_frame(const profile::DeltaFrame& frame,
                  frame.get(lane_block_write_, row),
                  frame.get(lane_block_read_, row));
     } catch (const std::exception&) {
-      // Same contract as consume(): record, never propagate.
+      ++stats_.errors;  // same contract as consume(): count, never propagate
     }
   }
 }

@@ -6,7 +6,7 @@
 //                   [--store-backend NAME] [--store-cluster SPEC.json]
 //                   [--kernel NAME] [--omp N | --ranks N]
 //                   [--atoms NAME[,NAME...]] [--net] [--replay-batch N]
-//                   [--pace auto|off|on] [--replay-frames on|off]
+//                   [--pace auto|off|on]
 //                   [--store-flush-ms MS] [--store-flush-max N]
 //                   [--store-format json|binary]
 //                   [--read-block KiB] [--write-block KiB] [--fs NAME]
@@ -14,8 +14,8 @@
 //   synapse-emulate --scenario NAME|FILE [--profile] [tuning flags...]
 //   synapse-emulate --list-scenarios
 //
-// --replay-batch >= 2 replays through the async batched pipeline
-// (identical non-timing stats, amortized dispatch); --store-flush-ms /
+// --replay-batch N >= 2 replays in windows of N samples instead of
+// lockstep (identical non-timing stats, amortized dispatch); --store-flush-ms /
 // --store-flush-max set the store's FlushPolicy (age / size triggers
 // for the background flush worker). --pace controls replay pacing by
 // the recorded inter-sample gaps: auto (default) paces variable-rate
@@ -47,14 +47,16 @@ void print_atom_stats(const synapse::emulator::EmulationResult& result) {
   for (const auto& [atom, s] : result.atom_stats) {
     std::printf(
         "  atom %-10s samples=%llu cycles=%.3e flops=%.3e "
-        "bytes r/w=%llu/%llu alloc/free=%llu/%llu net s/r=%llu/%llu\n",
+        "bytes r/w=%llu/%llu alloc/free=%llu/%llu net s/r=%llu/%llu "
+        "errors=%llu\n",
         atom.c_str(), static_cast<unsigned long long>(s.samples_consumed),
         s.cycles, s.flops, static_cast<unsigned long long>(s.bytes_read),
         static_cast<unsigned long long>(s.bytes_written),
         static_cast<unsigned long long>(s.bytes_allocated),
         static_cast<unsigned long long>(s.bytes_freed),
         static_cast<unsigned long long>(s.net_bytes_sent),
-        static_cast<unsigned long long>(s.net_bytes_received));
+        static_cast<unsigned long long>(s.net_bytes_received),
+        static_cast<unsigned long long>(s.errors));
   }
 }
 
@@ -204,19 +206,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "synapse-emulate: %s\n", e.what());
         return 2;
       }
-    } else if (arg == "--replay-frames") {
-      const std::string mode = next();
-      if (mode == "on") {
-        options.emulator.replay_frames = true;
-      } else if (mode == "off") {
-        options.emulator.replay_frames = false;
-      } else {
-        std::fprintf(stderr,
-                     "synapse-emulate: --replay-frames expects on or off "
-                     "(got '%s')\n",
-                     mode.c_str());
-        return 2;
-      }
     } else if (arg == "--scheduler") {
       try {
         options.profiler.scheduler =
@@ -312,12 +301,10 @@ int main(int argc, char** argv) {
           "                [--store-cluster SPEC.json]\n"
           "                [--kernel asm|c|omp|sleep] [--omp N | --ranks N]\n"
           "                [--atoms NAME[,NAME...]] [--net]\n"
-          "                [--replay-batch N] (N >= 2: async batched replay\n"
-          "                 pipeline; same non-timing stats)\n"
+          "                [--replay-batch N] (N >= 2: replay in windows of\n"
+          "                 N samples; same non-timing stats)\n"
           "                [--pace auto|off|on] (pace replay by recorded\n"
           "                 inter-sample gaps; auto = variable-rate only)\n"
-          "                [--replay-frames on|off] (compiled columnar\n"
-          "                 replay plan; off = legacy map-based feed)\n"
           "                [--store-flush-ms MS] [--store-flush-max N]\n"
           "                (store FlushPolicy: docstore background flush\n"
           "                 by age/size)\n"

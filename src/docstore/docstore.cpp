@@ -3,9 +3,11 @@
 #include <sys/stat.h>
 #include <sys/types.h>
 
-#include <dirent.h>
-
 #include <algorithm>
+#include <cerrno>
+
+#include "sys/dir.hpp"
+#include "sys/error.hpp"
 
 namespace synapse::docstore {
 
@@ -143,21 +145,17 @@ std::vector<json::Value> Collection::all() const {
 }
 
 Store::Store(const std::string& directory) : directory_(directory) {
-  ::mkdir(directory.c_str(), 0755);  // EEXIST is fine
-  DIR* dir = ::opendir(directory.c_str());
-  if (dir == nullptr) {
-    throw sys::SystemError("opendir(" + directory + ")", errno);
+  if (::mkdir(directory.c_str(), 0755) != 0 && errno != EEXIST) {
+    throw sys::SystemError("mkdir(" + directory + ")", errno);
   }
-  while (struct dirent* entry = ::readdir(dir)) {
-    const std::string name = entry->d_name;
-    const std::string suffix = ".collection.json";
+  const std::string suffix = ".collection.json";
+  for (const auto& name : sys::list_dir(directory)) {
     if (name.size() > suffix.size() &&
         name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0) {
       load_collection(name.substr(0, name.size() - suffix.size()),
                       directory + "/" + name);
     }
   }
-  ::closedir(dir);
 }
 
 void Store::load_collection(const std::string& name, const std::string& path) {

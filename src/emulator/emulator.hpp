@@ -79,44 +79,23 @@ struct EmulatorOptions {
   ParallelMode parallel_mode = ParallelMode::None;
   int parallel_degree = 1;  ///< threads or ranks
 
-  /// Replay execution mode: 0 (default, "unset") and 1 both replay one
-  /// sample at a time with a thread spawned per atom per sample (the
-  /// paper-faithful barrier loop); >= 2 switches the engine to the
-  /// async batched pipeline — a producer thread decodes and scales
-  /// deltas into batches of this size and feeds one persistent
-  /// consumer thread per atom through bounded SampleQueues. Per-atom
-  /// consumption order (and therefore every non-timing stat) is
-  /// identical to single mode; the per-sample barrier coarsens to a
-  /// per-batch barrier, amortizing dispatch cost across the batch.
-  /// 0 vs 1 only matters for scenario precedence: a scenario's
-  /// replay_batch field applies when this is 0, while an explicit 1
-  /// (e.g. --replay-batch 1) pins single mode against it.
+  /// Replay window: 0 (default, "unset") and 1 both replay in lockstep,
+  /// one sample at a time, the paper's loop; >= 2 publishes windows of
+  /// this many samples to the persistent per-atom consumers, with up to
+  /// six windows in flight. Per-atom consumption order (and therefore
+  /// every non-timing stat) is identical either way; the per-sample
+  /// barrier coarsens to a per-window barrier, amortizing dispatch cost
+  /// across the window. 0 vs 1 only matters for scenario precedence: a
+  /// scenario's replay_batch field applies when this is 0, while an
+  /// explicit 1 (e.g. --replay-batch 1) pins single mode against it.
   size_t replay_batch = 0;
-
-  /// Bounded depth, in batches, of each pipeline queue (batch mode
-  /// only). Caps decoded-but-unconsumed memory: a slow atom
-  /// back-pressures the producer once its queue holds this many
-  /// batches. Clamped to >= 1.
-  size_t replay_queue_depth = 4;
-
-  /// Feed representation: true (default) compiles the replay into a
-  /// ReplayPlan — the profile's deltas become a columnar DeltaTable
-  /// with interned metric lanes, scale factors are baked into the
-  /// affected lanes once, and atoms consume DeltaFrames through
-  /// precomputed LaneMasks (batch mode additionally swaps the sample
-  /// queues for lock-free frame rings). false keeps the legacy
-  /// map-based SampleDelta feed. Non-timing stats are bit-identical
-  /// either way; the knob exists for A/B benchmarking and as an escape
-  /// hatch.
-  bool replay_frames = true;
 
   /// Pace the feed loop by the recorded inter-sample gaps (see
   /// ReplayPace). Default Auto: variable-rate profiles replay on their
   /// recorded timeline (a burst is replayed as a burst, an idle stretch
   /// as an idle stretch), fixed-rate profiles replay at full speed as
-  /// before. Batch mode paces at batch granularity (the producer
-  /// releases each batch at its first sample's recorded offset),
-  /// keeping the batch-barrier and hook-order semantics untouched.
+  /// before. Each window is released at its first sample's recorded
+  /// offset, keeping the barrier and hook-order semantics untouched.
   ReplayPace pace = ReplayPace::Auto;
 
   /// Ring-exchange bytes per rank per replayed sample in Process mode

@@ -2,25 +2,18 @@
 
 #include <algorithm>
 #include <atomic>
-#include <exception>
 #include <memory>
-#include <set>
-#include <string_view>
 #include <thread>
 #include <utility>
 
 #include "emulator/replay_plan.hpp"
-#include "emulator/sample_queue.hpp"
 #include "emulator/spsc_ring.hpp"
-#include "profile/metrics.hpp"
 #include "resource/resource_spec.hpp"
 #include "sys/clock.hpp"
 #include "sys/error.hpp"
 #include "watchers/trace.hpp"
 
 namespace synapse::emulator {
-
-namespace m = synapse::metrics;
 
 ReplayPace replay_pace_from_string(const std::string& name) {
   if (name == "auto") return ReplayPace::Auto;
@@ -85,34 +78,6 @@ double ReplayEngine::parallel_time_factor(int workers,
 
 namespace {
 
-/// Apply the emulator's workload overrides to one sample delta. Takes
-/// the delta by value so callers that are done with their copy (the
-/// replay feeders, which consume the decoded vector front to back) can
-/// move the metric map through instead of re-building it. Callers skip
-/// the call entirely under identity scaling (identity_scaling()), so
-/// the per-sample map rebuild only happens when a factor is active.
-profile::SampleDelta scale_delta(profile::SampleDelta out,
-                                 const EmulatorOptions& opts) {
-  auto scale = [&out](std::string_view key, double factor) {
-    const auto it = out.deltas.find(std::string(key));
-    if (it != out.deltas.end()) it->second *= factor;
-  };
-  if (opts.cycle_scale != 1.0) {
-    scale(m::kCyclesUsed, opts.cycle_scale);
-    scale(m::kInstructions, opts.cycle_scale);
-    scale(m::kFlops, opts.cycle_scale);
-  }
-  if (opts.memory_scale != 1.0) {
-    scale(m::kMemAllocated, opts.memory_scale);
-    scale(m::kMemFreed, opts.memory_scale);
-  }
-  if (opts.io_scale != 1.0) {
-    scale(m::kBytesRead, opts.io_scale);
-    scale(m::kBytesWritten, opts.io_scale);
-  }
-  return out;
-}
-
 /// Resolve the pacing decision for this run (ReplayPace::Auto paces
 /// exactly the profiles whose gaps carry information).
 bool replay_paced(const EmulatorOptions& opts,
@@ -127,44 +92,30 @@ bool replay_paced(const EmulatorOptions& opts,
   }
 }
 
-/// The hoisted wants() screen for the legacy map path: an atom whose
-/// declared metrics never appear in the replayed series set can never
-/// want a sample, so the feed loop drops it from dispatch up front
-/// (once per replay) instead of probing wants() per sample. Atoms that
-/// declare nothing stay in — their wants() may key on anything.
-std::vector<char> atoms_in_play(
-    const std::vector<std::unique_ptr<atoms::Atom>>& active,
-    const std::vector<profile::SampleDelta>& deltas) {
-  std::set<std::string_view> recorded;
-  for (const auto& d : deltas) {
-    for (const auto& [metric, _] : d.deltas) recorded.insert(metric);
-  }
-  std::vector<char> in_play(active.size(), 1);
-  for (size_t i = 0; i < active.size(); ++i) {
-    const std::vector<std::string> wanted = active[i]->wanted_metrics();
-    if (wanted.empty()) continue;
-    in_play[i] = 0;
-    for (const auto& name : wanted) {
-      if (recorded.count(name) > 0) {
-        in_play[i] = 1;
-        break;
-      }
-    }
-  }
-  return in_play;
-}
+/// Windows in flight at once in batch mode (single mode keeps one).
+/// The fastest atom can run this many windows minus one ahead of the
+/// slowest. On the mixed mdsim-like profile at window 8, four in
+/// flight replayed slower than six in each of four alternating runs.
+constexpr size_t kBatchLookahead = 6;
 
-/// One recyclable slot of the frame pipeline: a row window plus the
-/// consumer countdown. `busy` hands the slot back and forth between the
-/// producer (fills, arms `remaining`, pushes) and the coordinator
-/// (waits for `remaining` to hit zero, fires hooks, releases) — the
-/// slot pool is what makes the steady state allocation-free.
+/// One window in flight: published by the calling thread, consumed by
+/// every atom it was sent to, retired once `remaining` reaches zero.
 struct FrameTask {
   size_t first_row = 0;
   size_t rows = 0;
   std::atomic<uint32_t> remaining{0};
-  std::atomic<bool> busy{false};
 };
+
+/// Does the atom behind `mask` get this window? Adapter atoms probe
+/// wants() per row themselves, so they receive every window.
+bool window_wanted(const atoms::LaneMask& mask,
+                   const profile::DeltaFrame& frame) {
+  if (mask.adapter) return true;
+  for (size_t row = 0; row < frame.rows(); ++row) {
+    if (mask.row_wanted(frame, row)) return true;
+  }
+  return false;
+}
 
 }  // namespace
 
@@ -219,17 +170,7 @@ EmulationResult ReplayEngine::replay(const profile::Profile& profile,
   result.startup_seconds = startup.elapsed();
 
   // --- the global sample feed loop (section 4.2) ---------------------------
-  if (opts.replay_batch >= 2) {
-    if (opts.replay_frames) {
-      feed_batched_frames(profile, opts, active, per_sample_hook, result);
-    } else {
-      feed_batched(profile, opts, active, per_sample_hook, result);
-    }
-  } else if (opts.replay_frames) {
-    feed_single_frames(profile, opts, active, per_sample_hook, result);
-  } else {
-    feed_single(profile, opts, active, per_sample_hook, result);
-  }
+  feed(profile, opts, active, per_sample_hook, result);
 
   for (size_t i = 0; i < active.size(); ++i) {
     result.atom_stats[atom_names[i]] = active[i]->stats();
@@ -241,373 +182,118 @@ EmulationResult ReplayEngine::replay(const profile::Profile& profile,
   return result;
 }
 
-void ReplayEngine::feed_single(
-    const profile::Profile& profile, const EmulatorOptions& opts,
-    const std::vector<std::unique_ptr<atoms::Atom>>& active,
-    const SampleHook& per_sample_hook, EmulationResult& result) {
-  auto deltas = profile.sample_deltas();
-  const bool identity = identity_scaling(opts);
-  const std::vector<char> in_play = atoms_in_play(active, deltas);
-  // Pacing clock: sample k is released at the sum of the recorded gaps
-  // (durations) of samples 1..k past the replay start. The first sample
-  // dispatches immediately — its duration describes the period BEFORE
-  // it, which the replay has no counterpart for.
-  const bool paced = replay_paced(opts, profile);
-  const double t0 = paced ? sys::steady_now() : 0.0;
-  double offset = 0.0;
-  for (auto& raw : deltas) {
-    if (!identity) raw = scale_delta(std::move(raw), opts);
-    const profile::SampleDelta& delta = raw;
-    if (paced && result.samples_replayed > 0) {
-      offset += delta.duration;
-      const double wait = t0 + offset - sys::steady_now();
-      if (wait > 0) sys::sleep_for(wait);
-    }
-
-    // All resource consumptions of one sample start concurrently; the
-    // sample ends when the last one completes (Fig. 2).
-    std::vector<std::thread> workers;
-    for (size_t i = 0; i < active.size(); ++i) {
-      if (in_play[i] == 0) continue;
-      const auto& atom = active[i];
-      if (!atom->wants(delta)) continue;
-      workers.emplace_back([&atom, &delta] {
-        try {
-          atom->consume(delta);
-        } catch (const std::exception&) {
-          // A failing atom must not wedge the sample barrier; the
-          // shortfall shows up in the atom's stats.
-        }
-      });
-    }
-    for (auto& w : workers) w.join();
-    if (per_sample_hook) per_sample_hook(result.samples_replayed);
-    ++result.samples_replayed;
-  }
-}
-
-void ReplayEngine::feed_single_frames(
-    const profile::Profile& profile, const EmulatorOptions& opts,
-    const std::vector<std::unique_ptr<atoms::Atom>>& active,
-    const SampleHook& per_sample_hook, EmulationResult& result) {
-  // The compiled loop: scale factors are already baked into the table's
-  // lanes, and per-atom dispatch is a trigger-lane read instead of a
-  // wants() map probe. Barrier and hook semantics are identical to
-  // feed_single — one thread per wanting atom per sample, sample ends
-  // when the last atom finishes.
+void ReplayEngine::feed(const profile::Profile& profile,
+                        const EmulatorOptions& opts,
+                        const std::vector<std::unique_ptr<atoms::Atom>>& active,
+                        const SampleHook& per_sample_hook,
+                        EmulationResult& result) {
   const ReplayPlan plan(profile, opts, active);
   const profile::DeltaTable& table = plan.table();
-  const bool paced = replay_paced(opts, profile);
-  const double t0 = paced ? sys::steady_now() : 0.0;
-  double offset = 0.0;
-  profile::SampleDelta boxed;  ///< per-row scratch for adapter atoms
-  for (size_t row = 0; row < table.rows(); ++row) {
-    if (paced && row > 0) {
-      offset += table.duration(row);
-      const double wait = t0 + offset - sys::steady_now();
-      if (wait > 0) sys::sleep_for(wait);
-    }
-    const profile::DeltaFrame frame = table.frame(row, 1);
-    // Adapter atoms see the legacy map shape; unbox the row once and
-    // share it across all of them (their wants() gates dispatch exactly
-    // like the map path).
-    if (plan.any_adapter()) boxed = table.unbox(row);
+  const size_t window = std::max<size_t>(1, opts.replay_batch);
+  const size_t ahead = window == 1 ? 1 : kBatchLookahead;
 
-    std::vector<std::thread> workers;
-    for (size_t i = 0; i < active.size(); ++i) {
-      const atoms::LaneMask& mask = plan.mask(i);
-      if (mask.idle) continue;
-      atoms::Atom* atom = active[i].get();
-      if (mask.adapter) {
-        if (!atom->wants(boxed)) continue;
-        workers.emplace_back([atom, &boxed] {
-          try {
-            atom->consume(boxed);
-          } catch (const std::exception&) {
-            // Same contract as feed_single: record, never propagate.
-          }
-        });
-      } else {
-        if (!mask.row_wanted(frame, 0)) continue;
-        workers.emplace_back([atom, frame, &mask] {
-          try {
-            atom->consume_frame(frame, mask);
-          } catch (const std::exception&) {
-            // consume_frame must not throw; belt and braces.
-          }
-        });
-      }
-    }
-    for (auto& w : workers) w.join();
-    if (per_sample_hook) per_sample_hook(row);
-    ++result.samples_replayed;
-  }
-}
-
-void ReplayEngine::feed_batched(
-    const profile::Profile& profile, const EmulatorOptions& opts,
-    const std::vector<std::unique_ptr<atoms::Atom>>& active,
-    const SampleHook& per_sample_hook, EmulationResult& result) {
-  const size_t batch_size = opts.replay_batch;
-  const size_t depth = opts.replay_queue_depth;
-
-  // One bounded queue per atom consumer, plus one for this thread (the
-  // coordinator), which restores per-sample ordering: it waits for the
-  // batch's completion latch, then fires the hook for every sample in
-  // recorded order. Queues share the same depth, so the producer is
-  // back-pressured by the slowest party.
-  std::vector<std::unique_ptr<SampleQueue>> queues;
-  queues.reserve(active.size());
-  for (size_t i = 0; i < active.size(); ++i) {
-    queues.push_back(std::make_unique<SampleQueue>(depth));
-  }
-  SampleQueue inflight(depth);
-
-  // Persistent consumers: one thread per atom for the whole run (the
-  // amortization over single mode's thread-per-atom-per-sample). Each
-  // drains its own queue in FIFO order, so the atom sees exactly the
-  // sample sequence single mode would feed it.
-  std::vector<std::thread> consumers;
-  consumers.reserve(active.size());
-  for (size_t i = 0; i < active.size(); ++i) {
-    atoms::Atom* atom = active[i].get();
-    SampleQueue* queue = queues[i].get();
-    consumers.emplace_back([atom, queue] {
-      while (const auto batch = queue->pop()) {
-        for (const auto& delta : batch->deltas) {
-          if (!atom->wants(delta)) continue;
-          try {
-            atom->consume(delta);
-          } catch (const std::exception&) {
-            // Same contract as single mode: a failing atom must not
-            // wedge the batch; the shortfall shows up in its stats.
-          }
-        }
-        batch->mark_consumed();
-      }
-    });
-  }
-
-  // Producer: decode (sample_deltas merges and differences the watcher
-  // series — the expensive part) and scale on a dedicated thread,
-  // overlapping with consumption. The tail batch is flushed
-  // unconditionally: a partial final batch carries real samples and
-  // must never be dropped. `aborted` is the coordinator's error
-  // signal: once set, producing more work is pointless.
-  std::atomic<bool> aborted{false};
-  std::exception_ptr producer_error;
-  // Pacing happens in the producer, at batch granularity: each batch is
-  // released at its FIRST sample's recorded offset. Barrier and hook
-  // order are untouched — the sleep only delays production.
-  const bool paced = replay_paced(opts, profile);
-  const double t0 = paced ? sys::steady_now() : 0.0;
-  std::thread producer([&] {
-    try {
-      auto deltas = profile.sample_deltas();
-      const bool identity = identity_scaling(opts);
-      std::shared_ptr<SampleBatch> batch;
-      size_t index = 0;
-      double offset = 0.0;        ///< recorded time of the current sample
-      double batch_offset = 0.0;  ///< recorded time of the batch's first
-      const auto dispatch = [&] {
-        if (!batch || batch->deltas.empty()) return;
-        if (paced) {
-          const double wait = t0 + batch_offset - sys::steady_now();
-          if (wait > 0) sys::sleep_for(wait);
-        }
-        batch->expect_consumers(queues.size());
-        // The coordinator sees the batch first so completion latches
-        // are awaited strictly in production order.
-        inflight.push(batch);
-        for (const auto& queue : queues) queue->push(batch);
-        batch.reset();
-      };
-      for (auto& raw : deltas) {
-        if (aborted.load(std::memory_order_relaxed)) break;
-        profile::SampleDelta scaled =
-            identity ? std::move(raw) : scale_delta(std::move(raw), opts);
-        if (index > 0) offset += scaled.duration;
-        if (!batch) {
-          batch = std::make_shared<SampleBatch>();
-          batch->first_index = index;
-          batch->deltas.reserve(batch_size);
-          batch_offset = offset;
-        }
-        batch->deltas.push_back(std::move(scaled));
-        ++index;
-        if (batch->deltas.size() >= batch_size) dispatch();
-      }
-      if (!aborted.load(std::memory_order_relaxed)) {
-        dispatch();  // the partial tail batch
-      }
-    } catch (...) {
-      // Decode failure (malformed profile): surface it on the replay()
-      // caller's thread after the pipeline drained.
-      producer_error = std::current_exception();
-    }
-    inflight.close();
-    for (const auto& queue : queues) queue->close();
-  });
-
-  std::exception_ptr hook_error;
-  try {
-    while (const auto batch = inflight.pop()) {
-      batch->wait_consumed();
-      for (size_t k = 0; k < batch->deltas.size(); ++k) {
-        if (per_sample_hook) per_sample_hook(batch->first_index + k);
-        ++result.samples_replayed;
-      }
-    }
-  } catch (...) {
-    // A throwing hook (e.g. a ring-exchange failure in Process mode)
-    // must not leave the producer blocked on a full queue: signal the
-    // abort, then close everything discarding queued backlog, so
-    // consumers stop after the batch they are on and the producer stops
-    // decoding — mirroring single mode, which performs no further atom
-    // work past the failing sample. Then propagate.
-    hook_error = std::current_exception();
-    aborted.store(true, std::memory_order_relaxed);
-    inflight.close(/*discard_pending=*/true);
-    for (const auto& queue : queues) queue->close(/*discard_pending=*/true);
-  }
-
-  producer.join();
-  for (auto& consumer : consumers) consumer.join();
-  if (hook_error) std::rethrow_exception(hook_error);
-  if (producer_error) std::rethrow_exception(producer_error);
-}
-
-void ReplayEngine::feed_batched_frames(
-    const profile::Profile& profile, const EmulatorOptions& opts,
-    const std::vector<std::unique_ptr<atoms::Atom>>& active,
-    const SampleHook& per_sample_hook, EmulationResult& result) {
-  // The compiled pipeline: the plan is built once up front (decode +
-  // scale — the work the map producer re-does per sample), then frames
-  // flow as {first_row, rows} windows over the shared table through
-  // lock-free SPSC rings, recycled from a fixed task pool — the steady
-  // state allocates nothing. Semantics mirror feed_batched exactly:
-  // per-atom consumption in recorded order, hooks fired in recorded
-  // order after every atom finished the batch, pacing at batch
-  // granularity.
-  const ReplayPlan plan(profile, opts, active);
-  const profile::DeltaTable& table = plan.table();
-  const size_t batch_size = opts.replay_batch;
-  const size_t depth = std::max<size_t>(1, opts.replay_queue_depth);
-
-  // Idle atoms (mask.idle: none of their metrics recorded) get no
-  // consumer thread and no ring at all — the hoisted form of the map
-  // path's per-sample wants() misses.
+  // Idle atoms (none of their metrics recorded) get no consumer at all.
   std::vector<size_t> engaged;
   for (size_t i = 0; i < active.size(); ++i) {
     if (!plan.mask(i).idle) engaged.push_back(i);
   }
-
-  // The task pool: depth tasks can sit in the rings, one can be held by
-  // the coordinator and one by the producer — so depth + 2 slots mean
-  // the producer never waits on a slot that isn't about to free.
-  std::vector<FrameTask> pool(depth + 2);
+  // A ring never holds more than the windows in flight, so publishing
+  // never blocks; slot w % ahead is reused only after window w retired.
+  std::vector<FrameTask> slots(ahead);
   std::vector<std::unique_ptr<SpscRing<FrameTask*>>> rings;
-  rings.reserve(engaged.size());
   for (size_t k = 0; k < engaged.size(); ++k) {
-    rings.push_back(std::make_unique<SpscRing<FrameTask*>>(depth));
+    rings.push_back(std::make_unique<SpscRing<FrameTask*>>(ahead));
   }
-  SpscRing<FrameTask*> inflight(depth);
 
   std::vector<std::thread> consumers;
-  consumers.reserve(engaged.size());
-  for (size_t k = 0; k < engaged.size(); ++k) {
-    atoms::Atom* atom = active[engaged[k]].get();
-    const atoms::LaneMask* mask = &plan.mask(engaged[k]);
-    SpscRing<FrameTask*>* ring = rings[k].get();
-    const profile::DeltaTable* tab = &table;
-    consumers.emplace_back([atom, mask, ring, tab] {
-      FrameTask* task = nullptr;
-      while (ring->pop(task)) {
-        try {
-          atom->consume_frame(tab->frame(task->first_row, task->rows), *mask);
-        } catch (const std::exception&) {
-          // consume_frame must not throw; belt and braces.
+  const auto shut_down = [&](bool discard_pending) {
+    for (const auto& ring : rings) ring->close(discard_pending);
+    for (auto& consumer : consumers) consumer.join();
+  };
+  try {
+    for (size_t k = 0; k < engaged.size(); ++k) {
+      atoms::Atom* atom = active[engaged[k]].get();
+      const atoms::LaneMask* mask = &plan.mask(engaged[k]);
+      SpscRing<FrameTask*>* ring = rings[k].get();
+      consumers.emplace_back([atom, mask, ring, &table] {
+        FrameTask* task = nullptr;
+        while (ring->pop(task)) {
+          try {
+            atom->consume_frame(table.frame(task->first_row, task->rows),
+                                *mask);
+          } catch (...) {
+            atom->count_error();  // never wedge the barrier
+          }
+          task->remaining.fetch_sub(1, std::memory_order_acq_rel);
         }
-        task->remaining.fetch_sub(1, std::memory_order_acq_rel);
-      }
-    });
-  }
+      });
+    }
 
-  std::atomic<bool> aborted{false};
-  const bool paced = replay_paced(opts, profile);
-  const double t0 = paced ? sys::steady_now() : 0.0;
-  std::thread producer([&] {
-    // Slicing only — the decode already happened in the plan. Pacing
-    // keeps feed_batched's batch-granularity semantics: a batch is
-    // released at its first sample's recorded offset (sum of durations
-    // 1..first_row).
+    // Pacing clock: a window is released at its first row's recorded
+    // offset, the sum of the durations of rows 1..first_row. Row 0's
+    // duration describes the period BEFORE it, which the replay has no
+    // counterpart for.
+    const bool paced = replay_paced(opts, profile);
+    const double t0 = sys::steady_now();
     double offset = 0.0;
     size_t covered = 0;  ///< offset includes durations 1..covered
-    size_t next_slot = 0;
-    for (size_t start = 0; start < table.rows(); start += batch_size) {
-      if (aborted.load(std::memory_order_relaxed)) break;
-      FrameTask* task = &pool[next_slot % pool.size()];
-      ++next_slot;
-      // Recycle: wait for the coordinator to release the slot. Abort
-      // check required — after a hook error nobody releases slots.
-      unsigned spins = 0;
-      while (task->busy.load(std::memory_order_acquire)) {
-        if (aborted.load(std::memory_order_relaxed)) return;
-        spsc_backoff(spins);
-      }
-      task->first_row = start;
-      task->rows = std::min(batch_size, table.rows() - start);
-      task->remaining.store(static_cast<uint32_t>(engaged.size()),
-                            std::memory_order_relaxed);
-      task->busy.store(true, std::memory_order_relaxed);
-      if (paced) {
-        for (size_t j = covered + 1; j <= start; ++j) {
-          offset += table.duration(j);
-        }
-        covered = start;
-        const double wait = t0 + offset - sys::steady_now();
-        if (wait > 0) sys::sleep_for(wait);
-      }
-      // The coordinator sees the task first (inflight before the atom
-      // rings) so completion is awaited strictly in production order;
-      // ring pushes publish the task fields to every consumer.
-      if (!inflight.push(task)) break;
-      for (const auto& ring : rings) {
-        if (!ring->push(task)) break;
-      }
-    }
-    inflight.close();
-    for (const auto& ring : rings) ring->close();
-  });
+    std::vector<size_t> receivers;
+    receivers.reserve(engaged.size());
 
-  std::exception_ptr hook_error;
-  try {
-    FrameTask* task = nullptr;
-    while (inflight.pop(task)) {
-      // The frame barrier: every engaged atom decremented `remaining`.
+    const size_t windows = (table.rows() + window - 1) / window;
+    size_t published = 0;
+    for (size_t retired = 0; retired < windows; ++retired) {
+      for (; published < windows && published - retired < ahead;
+           ++published) {
+        FrameTask& task = slots[published % ahead];
+        task.first_row = published * window;
+        task.rows = std::min(window, table.rows() - task.first_row);
+        if (paced) {
+          for (; covered < task.first_row; ++covered) {
+            offset += table.duration(covered + 1);
+          }
+          const double wait = t0 + offset - sys::steady_now();
+          if (wait > 0) sys::sleep_for(wait);
+        }
+        const profile::DeltaFrame frame =
+            table.frame(task.first_row, task.rows);
+        receivers.clear();
+        for (size_t k = 0; k < engaged.size(); ++k) {
+          if (window_wanted(plan.mask(engaged[k]), frame)) {
+            receivers.push_back(k);
+          }
+        }
+        // Armed before the first push: the ring push publishes the task
+        // fields to the consumer.
+        task.remaining.store(static_cast<uint32_t>(receivers.size()),
+                             std::memory_order_relaxed);
+        for (const size_t k : receivers) rings[k]->push(&task);
+      }
+      // All published: consumers drain their rings and exit instead of
+      // polling for windows that will never come.
+      if (published == windows) {
+        for (const auto& ring : rings) ring->close();
+      }
+
+      // The barrier (Fig. 2): the window ends when its last atom
+      // finishes; then its hooks fire in recorded order.
+      const FrameTask& task = slots[retired % ahead];
       unsigned spins = 0;
-      while (task->remaining.load(std::memory_order_acquire) != 0) {
+      while (task.remaining.load(std::memory_order_acquire) != 0) {
         spsc_backoff(spins);
       }
-      for (size_t k = 0; k < task->rows; ++k) {
-        if (per_sample_hook) per_sample_hook(task->first_row + k);
+      for (size_t k = 0; k < task.rows; ++k) {
+        if (per_sample_hook) per_sample_hook(task.first_row + k);
         ++result.samples_replayed;
       }
-      task->busy.store(false, std::memory_order_release);
     }
   } catch (...) {
-    // Same shutdown dance as feed_batched: stop the producer (which may
-    // be blocked pushing or waiting for a slot this coordinator will
-    // never release), stop the consumers after their current frame.
-    hook_error = std::current_exception();
-    aborted.store(true, std::memory_order_relaxed);
-    inflight.close(/*discard_pending=*/true);
-    for (const auto& ring : rings) ring->close(/*discard_pending=*/true);
+    // A throwing hook (e.g. a ring-exchange failure in Process mode):
+    // consumers stop after the window they are on, then propagate.
+    shut_down(/*discard_pending=*/true);
+    throw;
   }
-
-  producer.join();
-  for (auto& consumer : consumers) consumer.join();
-  if (hook_error) std::rethrow_exception(hook_error);
+  shut_down(/*discard_pending=*/false);
 }
 
 }  // namespace synapse::emulator

@@ -15,33 +15,32 @@
 // sample ends when the LAST atom finishes, and intra-sample timing is
 // discarded.
 //
-// Two feed modes drive that loop (EmulatorOptions::replay_batch):
+// One loop implements those semantics (ReplayEngine::feed). The replay
+// is first compiled into a ReplayPlan (replay_plan.hpp): a columnar
+// DeltaTable with the scale factors baked in and one LaneMask per atom.
+// Every engaged atom then gets one persistent consumer thread fed
+// through its own lock-free SPSC ring (spsc_ring.hpp). The calling
+// thread publishes {first_row, rows} windows to the atoms that want at
+// least one of their rows, keeps at most a fixed number in flight, and
+// retires the oldest window once every receiving atom finished it,
+// firing the per-sample hook for its rows in recorded order.
 //
-//   single (replay_batch <= 1) - the paper-faithful loop: one thread
-//     per atom per sample, a barrier after every sample.
+//   single (replay_batch <= 1) - window 1, one window in flight: the
+//     paper's lockstep, sample k+1 starts only after every atom
+//     finished sample k.
 //
-//   batch (replay_batch >= 2) - the async pipeline: a producer thread
-//     decodes+scales deltas into batches and feeds one persistent
-//     consumer thread per atom through bounded SampleQueues
-//     (sample_queue.hpp). Each atom consumes its samples in recorded
+//   batch (replay_batch >= 2) - windows of replay_batch rows, up to
+//     six in flight. Each atom still consumes its rows in recorded
 //     order, so non-timing stats are bit-identical to single mode; the
-//     barrier (and the per-sample hook) moves to batch granularity.
+//     barrier coarsens to the window.
 //
-// Orthogonally, EmulatorOptions::replay_frames (default on) compiles
-// each replay into a ReplayPlan (replay_plan.hpp): deltas become a
-// columnar DeltaTable with interned metric lanes, scale factors are
-// baked in once, and per-sample dispatch reads trigger lanes instead
-// of probing wants() with string keys. Batch mode then feeds
-// {first_row, rows} frame windows through lock-free SPSC rings
-// (spsc_ring.hpp), recycled from a fixed pool — the steady state
-// allocates nothing. Atoms that don't implement the frame interface
-// are fed through an unbox adapter and behave exactly as before.
+// Atoms that don't implement the frame interface are fed through the
+// unbox adapter (Atom::consume_frame) and behave exactly as before.
 //
 // Either mode optionally paces the feed by the recorded inter-sample
-// gaps (EmulatorOptions::pace; default: variable-rate profiles only).
-// Single mode sleeps before each delta, batch mode releases each batch
-// at its first sample's recorded offset — consumption order, barriers
-// and hook order are identical paced or not.
+// gaps (EmulatorOptions::pace; default: variable-rate profiles only): a
+// window is released at its first row's recorded offset. Consumption
+// order, barriers and hook order are identical paced or not.
 
 #include <functional>
 #include <memory>
@@ -66,8 +65,9 @@ class ReplayEngine {
                         const atoms::AtomRegistry* registry = nullptr);
 
   /// Build the configured atoms (startup/calibration), feed every
-  /// sample delta through the barrier loop, and aggregate per-atom
-  /// stats. Blocks until the last sample completes.
+  /// sample through the barrier loop, and aggregate per-atom stats.
+  /// Blocks until the last sample completes. A throwing hook stops the
+  /// replay: the consumers are joined and the error propagates.
   EmulationResult replay(const profile::Profile& profile,
                          const SampleHook& per_sample_hook = {});
 
@@ -93,27 +93,12 @@ class ReplayEngine {
   const atoms::AtomRegistry& registry() const { return *registry_; }
 
  private:
-  /// The paper-faithful per-sample barrier loop (replay_batch <= 1).
-  void feed_single(const profile::Profile& profile,
-                   const EmulatorOptions& opts,
-                   const std::vector<std::unique_ptr<atoms::Atom>>& active,
-                   const SampleHook& per_sample_hook, EmulationResult& result);
-  /// The async batched pipeline (replay_batch >= 2).
-  void feed_batched(const profile::Profile& profile,
-                    const EmulatorOptions& opts,
-                    const std::vector<std::unique_ptr<atoms::Atom>>& active,
-                    const SampleHook& per_sample_hook, EmulationResult& result);
-  /// feed_single over a compiled ReplayPlan (replay_frames on).
-  void feed_single_frames(
-      const profile::Profile& profile, const EmulatorOptions& opts,
-      const std::vector<std::unique_ptr<atoms::Atom>>& active,
-      const SampleHook& per_sample_hook, EmulationResult& result);
-  /// feed_batched over a compiled ReplayPlan: frame windows through
-  /// lock-free SPSC rings, recycled from a fixed task pool.
-  void feed_batched_frames(
-      const profile::Profile& profile, const EmulatorOptions& opts,
-      const std::vector<std::unique_ptr<atoms::Atom>>& active,
-      const SampleHook& per_sample_hook, EmulationResult& result);
+  /// The sample feed loop over a compiled ReplayPlan (see the file
+  /// comment): windows of max(1, replay_batch) rows to persistent
+  /// per-atom consumers, hooks fired as each window retires.
+  void feed(const profile::Profile& profile, const EmulatorOptions& opts,
+            const std::vector<std::unique_ptr<atoms::Atom>>& active,
+            const SampleHook& per_sample_hook, EmulationResult& result);
 
   EmulatorOptions options_;
   const atoms::AtomRegistry* registry_;  ///< not owned, never null

@@ -8,36 +8,28 @@ namespace synapse::emulator {
 
 namespace m = synapse::metrics;
 
-bool identity_scaling(const EmulatorOptions& opts) {
-  return opts.cycle_scale == 1.0 && opts.memory_scale == 1.0 &&
-         opts.io_scale == 1.0;
-}
-
 ReplayPlan::ReplayPlan(
     const profile::Profile& profile, const EmulatorOptions& opts,
     const std::vector<std::unique_ptr<atoms::Atom>>& active)
     : table_(profile.delta_table()) {
-  // Bake the workload overrides into the lanes they touch — the same
-  // metric->factor routing as the map path's scale_delta, applied as
-  // one contiguous multiply per lane instead of a map find per sample.
+  // Bake the workload overrides into the lanes they touch: one
+  // contiguous multiply per lane instead of a map find per sample.
   // Absent cells hold 0.0 and stay 0.0, so presence is unaffected.
-  if (!identity_scaling(opts)) {
-    const auto scale = [this](std::string_view key, double factor) {
-      table_.scale_lane(table_.lanes().id(key), factor);
-    };
-    if (opts.cycle_scale != 1.0) {
-      scale(m::kCyclesUsed, opts.cycle_scale);
-      scale(m::kInstructions, opts.cycle_scale);
-      scale(m::kFlops, opts.cycle_scale);
-    }
-    if (opts.memory_scale != 1.0) {
-      scale(m::kMemAllocated, opts.memory_scale);
-      scale(m::kMemFreed, opts.memory_scale);
-    }
-    if (opts.io_scale != 1.0) {
-      scale(m::kBytesRead, opts.io_scale);
-      scale(m::kBytesWritten, opts.io_scale);
-    }
+  const auto scale = [this](std::string_view key, double factor) {
+    table_.scale_lane(table_.lanes().id(key), factor);
+  };
+  if (opts.cycle_scale != 1.0) {
+    scale(m::kCyclesUsed, opts.cycle_scale);
+    scale(m::kInstructions, opts.cycle_scale);
+    scale(m::kFlops, opts.cycle_scale);
+  }
+  if (opts.memory_scale != 1.0) {
+    scale(m::kMemAllocated, opts.memory_scale);
+    scale(m::kMemFreed, opts.memory_scale);
+  }
+  if (opts.io_scale != 1.0) {
+    scale(m::kBytesRead, opts.io_scale);
+    scale(m::kBytesWritten, opts.io_scale);
   }
 
   masks_.reserve(active.size());
@@ -48,14 +40,13 @@ ReplayPlan::ReplayPlan(
       // Undeclared routing: the atom may want anything, so it keeps the
       // per-sample wants() probe through the adapter path.
       mask.adapter = true;
-      any_adapter_ = true;
     } else {
       for (const auto& name : wanted) {
         const uint32_t lane = table_.lanes().id(name);
         if (lane != profile::LaneTable::kNoLane) mask.triggers.push_back(lane);
       }
       // Every declared metric is unrecorded: no row can ever trigger,
-      // so the feed loops drop the atom from dispatch entirely.
+      // so the feed loop drops the atom from dispatch entirely.
       mask.idle = mask.triggers.empty();
     }
     atom->bind_lanes(table_.lanes());

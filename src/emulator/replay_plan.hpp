@@ -1,6 +1,6 @@
 #pragma once
-// The compiled form of one replay: everything the feed loop used to
-// re-derive per sample, resolved once up front.
+// The compiled form of one replay: everything the feed loop would
+// otherwise re-derive per sample, resolved once up front.
 //
 // Building a plan (1) compiles the profile's deltas into a columnar
 // DeltaTable (interned metric lanes — profile/delta_frame.hpp),
@@ -23,10 +23,6 @@
 
 namespace synapse::emulator {
 
-/// True when the options' workload scale factors are all 1.0 — the
-/// common case, in which both feed paths skip scaling work entirely.
-bool identity_scaling(const EmulatorOptions& opts);
-
 class ReplayPlan {
  public:
   /// Compiles the profile + options for `active`; calls bind_lanes() on
@@ -39,14 +35,10 @@ class ReplayPlan {
   const atoms::LaneMask& mask(size_t atom_index) const {
     return masks_[atom_index];
   }
-  /// Any adapter-dispatched atom present? The single-mode feed unboxes
-  /// each row once for all of them when true.
-  bool any_adapter() const { return any_adapter_; }
 
  private:
   profile::DeltaTable table_;
   std::vector<atoms::LaneMask> masks_;
-  bool any_adapter_ = false;
 };
 
 }  // namespace synapse::emulator

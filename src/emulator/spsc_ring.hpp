@@ -1,16 +1,15 @@
 #pragma once
 // Bounded lock-free single-producer/single-consumer ring.
 //
-// The transport under the batched replay pipeline (sample_queue.hpp and
-// the frame path in replay_engine.cpp): one producer thread pushes, one
-// consumer thread pops, and a third party (the coordinator) may close
-// the ring to shut the pipeline down. Slots are a fixed array; head and
-// tail are monotonically increasing counters synchronized with
-// acquire/release — pushing publishes the slot write, popping publishes
-// the slot release — so steady-state transfers take no locks and no
-// allocations.
+// The transport of the replay loop (replay_engine.cpp): the calling
+// thread pushes windows, one atom's consumer thread pops them, and
+// either side may close the ring to shut the loop down. Slots are a
+// fixed array; head and tail are monotonically increasing counters
+// synchronized with acquire/release — pushing publishes the slot
+// write, popping publishes the slot release — so steady-state
+// transfers take no locks and no allocations.
 //
-// Blocking semantics mirror the original mutex+cv SampleQueue:
+// Blocking semantics:
 //   push()  blocks while full, returns false once closed (item dropped);
 //   pop()   blocks while empty, returns false once closed AND drained —
 //           or immediately after close(discard_pending=true), leaving

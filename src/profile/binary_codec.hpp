@@ -121,8 +121,8 @@ struct SeriesColumnsView {
 
 /// Column views over a whole SYNB blob. The JSON header is skipped, not
 /// parsed — obtaining the view costs a bounds-checked walk over the
-/// series framing only, which is what makes it usable per-replay on the
-/// emulator's producer thread.
+/// series framing only, which is what makes it usable per-replay when
+/// the emulator compiles its replay plan.
 struct ProfileColumnsView {
   std::vector<SeriesColumnsView> series;
 };

@@ -1,6 +1,5 @@
 #include "profile/profile_store.hpp"
 
-#include <dirent.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -22,6 +21,7 @@
 #include "docstore/docstore.hpp"
 #include "json/json.hpp"
 #include "profile/store_backend.hpp"
+#include "sys/dir.hpp"
 #include "sys/error.hpp"
 #include "sys/task_pool.hpp"
 
@@ -340,16 +340,8 @@ ProfileStore::ProfileStore(const std::string& backend,
 void ProfileStore::migrate_legacy_layout() {
   if (options_.backend == "files") {
     // Legacy layout: *.profile.json directly in the store root.
-    DIR* dir = ::opendir(options_.directory.c_str());
-    if (dir == nullptr) return;
-    std::vector<std::string> legacy;
-    while (struct dirent* entry = ::readdir(dir)) {
-      if (has_profile_suffix(entry->d_name)) {
-        legacy.push_back(entry->d_name);
-      }
-    }
-    ::closedir(dir);
-    for (const auto& name : legacy) {
+    for (const auto& name : sys::list_dir(options_.directory)) {
+      if (!has_profile_suffix(name)) continue;
       const std::string path = options_.directory + "/" + name;
       // Claim the file with an atomic rename so concurrent openers
       // cannot both adopt it (the claimed name no longer matches the

@@ -1,6 +1,5 @@
 #include "profile/store_backend.hpp"
 
-#include <dirent.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -16,6 +15,7 @@
 #include "json/arena.hpp"
 #include "profile/binary_codec.hpp"
 #include "profile/cluster_backend.hpp"
+#include "sys/dir.hpp"
 #include "sys/error.hpp"
 #include "sys/mmap_file.hpp"
 #include "sys/procfs.hpp"
@@ -53,15 +53,9 @@ bool has_binary_profile_suffix(const std::string& name) {
 
 size_t count_profile_files(const std::string& dir) {
   size_t n = 0;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return 0;
-  while (struct dirent* entry = ::readdir(d)) {
-    if (has_profile_suffix(entry->d_name) ||
-        has_binary_profile_suffix(entry->d_name)) {
-      ++n;
-    }
+  for (const auto& name : sys::list_dir(dir)) {
+    if (has_profile_suffix(name) || has_binary_profile_suffix(name)) ++n;
   }
-  ::closedir(d);
   return n;
 }
 
@@ -314,17 +308,10 @@ class FilesBackend : public StoreBackend {
 
   std::vector<StoredProfileEntry> list() const override {
     std::vector<StoredProfileEntry> out;
-    DIR* dir = ::opendir(directory_.c_str());
-    if (dir == nullptr) return out;
-    std::vector<std::string> names;
-    while (struct dirent* entry = ::readdir(dir)) {
-      const std::string name = entry->d_name;
-      if (has_profile_suffix(name) || has_binary_profile_suffix(name)) {
-        names.push_back(name);
+    for (const auto& name : sys::list_dir(directory_)) {
+      if (!has_profile_suffix(name) && !has_binary_profile_suffix(name)) {
+        continue;
       }
-    }
-    ::closedir(dir);
-    for (const auto& name : names) {
       const std::string path = directory_ + "/" + name;
       // Identity lives in the SYNB header, so a mapped list() touches
       // only each file's first pages instead of reading whole blobs.
@@ -399,17 +386,13 @@ class FilesBackend : public StoreBackend {
   std::vector<std::string> matching_files(const std::string& command,
                                           const std::string& tkey) const {
     std::vector<std::string> names;
-    DIR* dir = ::opendir(directory_.c_str());
-    if (dir == nullptr) return names;
     const std::string prefix = sanitize(command) + "." + sanitize(tkey) + ".";
-    while (struct dirent* entry = ::readdir(dir)) {
-      const std::string name = entry->d_name;
+    for (auto& name : sys::list_dir(directory_)) {
       if (name.rfind(prefix, 0) == 0 &&
           (has_profile_suffix(name) || has_binary_profile_suffix(name))) {
-        names.push_back(name);
+        names.push_back(std::move(name));
       }
     }
-    ::closedir(dir);
     return names;
   }
 

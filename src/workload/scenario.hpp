@@ -50,12 +50,12 @@ struct ScenarioSpec {
   int repetitions = 1;
   std::vector<std::string> tags;
 
-  /// Replay feed mode this scenario asks for: >= 2 runs the emulation
-  /// through the async batched pipeline with batches of this size
-  /// (EmulatorOptions::replay_batch), 1 pins the single-sample feed,
-  /// 0 (default) inherits the base options. A batch size the command
-  /// line sets explicitly (--replay-batch, including an explicit 1)
-  /// outranks this, like --atoms over atom_set.
+  /// Replay window this scenario asks for: >= 2 replays in windows of
+  /// this many samples (EmulatorOptions::replay_batch), 1 pins the
+  /// single-sample lockstep feed, 0 (default) inherits the base
+  /// options. A batch size the command line sets explicitly
+  /// (--replay-batch, including an explicit 1) outranks this, like
+  /// --atoms over atom_set.
   size_t replay_batch = 0;
 
   /// Sampling scheduler for profile-then-emulate round trips ("" =

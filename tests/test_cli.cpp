@@ -274,6 +274,14 @@ TEST(Cli, EveryBuiltinScenarioRunsEndToEnd) {
     }
     // Every atom consumed every sample; none reports samples=0.
     EXPECT_EQ(output.find("samples=0 "), std::string::npos) << s.name;
+    // Every atom line reports its failure count, and none failed.
+    for (const auto& atom : s.atom_set) {
+      const size_t line = output.find("atom " + atom);
+      if (line == std::string::npos) continue;
+      const std::string row =
+          output.substr(line, output.find('\n', line) - line);
+      EXPECT_NE(row.find(" errors=0"), std::string::npos) << row;
+    }
   }
   ::unlink(out.c_str());
   ::unlink((out + ".err").c_str());

@@ -3,12 +3,27 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <thread>
+
+#include "json/json.hpp"
 
 namespace ds = synapse::docstore;
 namespace json = synapse::json;
 
 namespace {
+/// Open file descriptors of this process.
+size_t open_fds() {
+  size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
 json::Value doc(const std::string& cmd, double size) {
   json::Object o;
   o["command"] = cmd;
@@ -160,4 +175,17 @@ TEST(DocStore, LookupPath) {
   EXPECT_DOUBLE_EQ(p->as_double(), 7.0);
   EXPECT_EQ(ds::lookup_path(v, "a.b.missing"), nullptr);
   EXPECT_EQ(ds::lookup_path(v, "a.b.c.d"), nullptr);
+}
+
+TEST(DocStore, CorruptCollectionThrowsWithoutLeakingTheDirectory) {
+  const std::string dir = "/tmp/synapse_docstore_fd_leak";
+  std::system(("rm -rf " + dir + " && mkdir -p " + dir).c_str());
+  std::system(("echo 'not json' > " + dir + "/bad.collection.json").c_str());
+  const size_t before = open_fds();
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_THROW(ds::Store store(dir), json::JsonError);
+  }
+  // The directory scan closed its handle although loading threw.
+  EXPECT_EQ(open_fds(), before);
+  std::system(("rm -rf " + dir).c_str());
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "emulator/emulator.hpp"
 #include "profile/metrics.hpp"
@@ -80,6 +82,39 @@ class TallyAtom final : public atoms::Atom {
   }
 };
 
+/// Legacy-interface atom whose consume() throws on every third sample
+/// (the default consume_frame adapter catches and counts it).
+class FlakyAtom final : public atoms::Atom {
+ public:
+  FlakyAtom() : Atom("flaky") {}
+
+  bool wants(const profile::SampleDelta&) const override { return true; }
+  void consume(const profile::SampleDelta&) override {
+    if (++calls_ % 3 == 0) throw sys::SynapseError("flaky sample");
+    stats_.samples_consumed += 1;
+  }
+
+ private:
+  size_t calls_ = 0;
+};
+
+/// Frame-native atom whose consume_frame() always throws (the replay's
+/// consumer loop catches and counts it, once per window received).
+class BrokenFrameAtom final : public atoms::Atom {
+ public:
+  BrokenFrameAtom() : Atom("broken") {}
+
+  bool wants(const profile::SampleDelta&) const override { return true; }
+  void consume(const profile::SampleDelta&) override {}
+  std::vector<std::string> wanted_metrics() const override {
+    return {std::string(m::kCyclesUsed)};
+  }
+  void consume_frame(const profile::DeltaFrame&,
+                     const atoms::LaneMask&) override {
+    throw sys::SynapseError("broken frame");
+  }
+};
+
 }  // namespace
 
 TEST(ReplayEngine, ResolvesFlagsToBuiltinSet) {
@@ -154,6 +189,43 @@ TEST(ReplayEngine, CustomAtomParticipatesInReplay) {
   ASSERT_TRUE(r.atom_stats.count("tally"));
   EXPECT_EQ(r.atom_stats.at("tally").samples_consumed, 5u);
   EXPECT_NEAR(r.atom_stats.at("tally").cycles, 5e6, 1.0);
+}
+
+TEST(ReplayEngine, AtomErrorsAreCountedNotSwallowed) {
+  HostGuard guard;
+  atoms::AtomRegistry registry;
+  registry.register_atom("flaky", [](const atoms::AtomBuildContext&) {
+    return std::make_unique<FlakyAtom>();
+  });
+  registry.register_atom("broken", [](const atoms::AtomBuildContext&) {
+    return std::make_unique<BrokenFrameAtom>();
+  });
+  // 9 samples: flaky throws on samples 3, 6 and 9; broken throws once
+  // per window it receives (9 windows of 1, or 4 + 4 + 1).
+  for (const size_t batch : {size_t{1}, size_t{4}}) {
+    auto opts = tmp_options();
+    opts.atom_set = {"flaky", "broken"};
+    opts.replay_batch = batch;
+    emulator::ReplayEngine engine(opts, &registry);
+    const auto r = engine.replay(synthetic_profile(9, 1e6));
+    const std::string context = "batch " + std::to_string(batch);
+    EXPECT_EQ(r.samples_replayed, 9u) << context;
+    EXPECT_EQ(r.atom_stats.at("flaky").errors, 3u) << context;
+    EXPECT_EQ(r.atom_stats.at("flaky").samples_consumed, 6u) << context;
+    EXPECT_EQ(r.atom_stats.at("broken").errors, batch == 1 ? 9u : 3u)
+        << context;
+  }
+
+  // Process mode sums every rank's count (each rank replays every
+  // sample of the flaky atom).
+  auto opts = tmp_options();
+  opts.atom_set = {"flaky"};
+  opts.parallel_mode = emulator::ParallelMode::Process;
+  opts.parallel_degree = 2;
+  emulator::Emulator emu(opts, &registry);
+  const auto r = emu.emulate(synthetic_profile(9, 1e6));
+  ASSERT_EQ(r.ranks_ok, 2);
+  EXPECT_EQ(r.atom_stats.at("flaky").errors, 2u * 3);
 }
 
 TEST(ReplayEngine, CustomAtomRunsThroughEmulatorDriver) {
@@ -258,6 +330,7 @@ void expect_stats_parity(const atoms::AtomStats& a, const atoms::AtomStats& b,
   EXPECT_EQ(a.net_bytes_sent, b.net_bytes_sent) << label;
   EXPECT_EQ(a.net_bytes_received, b.net_bytes_received) << label;
   EXPECT_EQ(a.samples_consumed, b.samples_consumed) << label;
+  EXPECT_EQ(a.errors, b.errors) << label;
 }
 
 }  // namespace

@@ -1,15 +1,24 @@
 // The compiled replay plan (emulator/replay_plan.hpp +
 // profile/delta_frame.hpp): columnar DeltaTable construction, lane
-// interning, and — the load-bearing property — bit-identical non-timing
-// AtomStats between the frame feed (replay_frames on, the default) and
-// the legacy map feed, across the builtin scenario catalog, both feed
-// modes, fixed- and variable-rate profiles, and custom atoms that only
-// implement the legacy consume() interface.
+// interning, and — the load-bearing property — non-timing AtomStats
+// bit-identical to the golden fixtures recorded from the retired
+// map-based SampleDelta feed (fixtures/replay_atom_stats.golden),
+// across the builtin scenario catalog, replay windows 1, 3 and 8,
+// fixed- and variable-rate profiles, and custom atoms that only
+// implement the legacy consume() interface. Also the replay loop's
+// barrier semantics observed from inside the atoms: lockstep at window
+// 1, concurrent start of every atom of a sample, and hook-error abort.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <fstream>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "emulator/emulator.hpp"
@@ -20,6 +29,7 @@
 #include "profile/metrics.hpp"
 #include "profile/profile.hpp"
 #include "resource/resource_spec.hpp"
+#include "sys/clock.hpp"
 #include "sys/error.hpp"
 #include "workload/scenario.hpp"
 
@@ -33,10 +43,17 @@ namespace sys = synapse::sys;
 
 namespace {
 
-struct HostGuard {
-  HostGuard() { resource::activate_resource("host"); }
-  ~HostGuard() { resource::activate_resource("host"); }
+/// Activates a resource spec for one test and restores "host" after.
+struct ResourceGuard {
+  explicit ResourceGuard(const std::string& name = "host") {
+    resource::activate_resource(name);
+  }
+  ~ResourceGuard() { resource::activate_resource("host"); }
 };
+
+/// The golden fixtures were recorded on this named spec: the "host"
+/// spec takes cache sizes from the running CPU, which moves `flops`.
+constexpr const char* kGoldenResource = "thinkie";
 
 emulator::EmulatorOptions tmp_options() {
   emulator::EmulatorOptions opts;
@@ -116,27 +133,62 @@ void expect_stats_parity(const atoms::AtomStats& a, const atoms::AtomStats& b,
   EXPECT_EQ(a.net_bytes_sent, b.net_bytes_sent) << label;
   EXPECT_EQ(a.net_bytes_received, b.net_bytes_received) << label;
   EXPECT_EQ(a.samples_consumed, b.samples_consumed) << label;
+  EXPECT_EQ(a.errors, b.errors) << label;
 }
 
-/// Replay `p` twice with identical options except replay_frames, and
-/// require bit-identical non-timing stats for every atom.
-void expect_frame_map_parity(const profile::Profile& p,
-                             emulator::EmulatorOptions opts,
-                             const std::string& label,
-                             const atoms::AtomRegistry* registry = nullptr) {
-  opts.replay_frames = false;
-  emulator::ReplayEngine map_engine(opts, registry);
-  const auto rm = map_engine.replay(p);
+/// One golden record: what the map feed replayed for one atom.
+struct GoldenStats {
+  size_t samples_replayed = 0;
+  atoms::AtomStats stats;
+};
 
-  opts.replay_frames = true;
-  emulator::ReplayEngine frame_engine(opts, registry);
-  const auto rf = frame_engine.replay(p);
+/// fixtures/replay_atom_stats.golden, keyed by profile label, then by
+/// atom name. The file's header comment documents the format.
+const std::map<std::string, std::map<std::string, GoldenStats>>& golden() {
+  static const auto table = [] {
+    std::map<std::string, std::map<std::string, GoldenStats>> out;
+    std::ifstream in(SYNAPSE_TEST_FIXTURE_DIR "/replay_atom_stats.golden");
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.empty() || line[0] == '#') continue;
+      std::istringstream row(line);
+      std::string label, atom, cycles, flops;
+      GoldenStats g;
+      atoms::AtomStats& s = g.stats;
+      row >> label >> atom >> g.samples_replayed >> cycles >> flops >>
+          s.bytes_read >> s.bytes_written >> s.bytes_allocated >>
+          s.bytes_freed >> s.net_bytes_sent >> s.net_bytes_received >>
+          s.samples_consumed;
+      // strtod reads the %.17g text back to the exact recorded double.
+      s.cycles = std::strtod(cycles.c_str(), nullptr);
+      s.flops = std::strtod(flops.c_str(), nullptr);
+      out[label][atom] = g;
+    }
+    return out;
+  }();
+  return table;
+}
 
-  EXPECT_EQ(rf.samples_replayed, rm.samples_replayed) << label;
-  ASSERT_EQ(rf.atom_stats.size(), rm.atom_stats.size()) << label;
-  for (const auto& [name, stats] : rm.atom_stats) {
-    ASSERT_TRUE(rf.atom_stats.count(name)) << label << "/" << name;
-    expect_stats_parity(rf.atom_stats.at(name), stats, label + "/" + name);
+/// Replay `p` at windows 1, 3 and 8 (pacing off) and require every
+/// atom's non-timing stats to match the golden record bit for bit.
+void expect_golden(const std::string& label, const profile::Profile& p,
+                   emulator::EmulatorOptions opts,
+                   const atoms::AtomRegistry* registry = nullptr) {
+  const auto it = golden().find(label);
+  ASSERT_NE(it, golden().end()) << "no golden record for " << label;
+  opts.pace = emulator::ReplayPace::Off;
+  for (const size_t batch : {size_t{1}, size_t{3}, size_t{8}}) {
+    opts.replay_batch = batch;
+    const std::string context = label + "/batch" + std::to_string(batch);
+    emulator::ReplayEngine engine(opts, registry);
+    const auto r = engine.replay(p);
+    ASSERT_EQ(r.atom_stats.size(), it->second.size()) << context;
+    for (const auto& [name, g] : it->second) {
+      ASSERT_TRUE(r.atom_stats.count(name)) << context << "/" << name;
+      EXPECT_EQ(r.samples_replayed, g.samples_replayed) << context;
+      expect_stats_parity(r.atom_stats.at(name), g.stats,
+                          context + "/" + name);
+    }
   }
 }
 
@@ -152,6 +204,60 @@ class TallyAtom final : public atoms::Atom {
     stats_.samples_consumed += 1;
     stats_.cycles += delta.get(m::kCyclesUsed);
   }
+};
+
+/// Counts every sample it consumes into a counter that outlives the
+/// replay (a replay that throws returns no stats).
+class CountingAtom final : public atoms::Atom {
+ public:
+  explicit CountingAtom(std::atomic<size_t>* consumed)
+      : Atom("counter"), consumed_(consumed) {}
+  bool wants(const profile::SampleDelta&) const override { return true; }
+  void consume(const profile::SampleDelta&) override {
+    stats_.samples_consumed += 1;
+    consumed_->fetch_add(1);
+  }
+
+ private:
+  std::atomic<size_t>* consumed_;
+};
+
+/// What two LockstepAtoms share: how many samples each has finished
+/// and entered, and what they observed.
+struct LockstepProbe {
+  std::atomic<size_t> finished[2] = {};
+  std::atomic<size_t> entered[2] = {};
+  std::atomic<int> lockstep_violations{0};
+  std::atomic<bool> missed_rendezvous{false};
+};
+
+/// Wants every sample. On entering sample k it records whether both
+/// atoms had finished samples 0..k-1, then waits (bounded) for the
+/// other atom to enter sample k too.
+class LockstepAtom final : public atoms::Atom {
+ public:
+  LockstepAtom(int self, LockstepProbe* probe)
+      : Atom(self == 0 ? "left" : "right"), self_(self), probe_(probe) {}
+  bool wants(const profile::SampleDelta&) const override { return true; }
+  void consume(const profile::SampleDelta&) override {
+    const size_t k = stats_.samples_consumed;
+    if (probe_->finished[0].load() < k || probe_->finished[1].load() < k) {
+      probe_->lockstep_violations.fetch_add(1);
+    }
+    probe_->entered[self_].store(k + 1);
+    const double deadline = sys::steady_now() + 5.0;
+    while (probe_->entered[1 - self_].load() < k + 1 &&
+           !probe_->missed_rendezvous.load()) {
+      if (sys::steady_now() > deadline) probe_->missed_rendezvous.store(true);
+      std::this_thread::yield();
+    }
+    stats_.samples_consumed += 1;
+    probe_->finished[self_].store(k + 1);
+  }
+
+ private:
+  int self_;
+  LockstepProbe* probe_;
 };
 
 }  // namespace
@@ -225,97 +331,70 @@ TEST(DeltaTable, PresenceDistinguishesRecordedZeroFromAbsent) {
             profile::LaneTable::kNoLane);
 }
 
-// --- frame vs map engine parity ---------------------------------------------
+// --- golden parity (the retired map feed's outputs) ------------------------
 
 TEST(ReplayFrames, ParityAcrossBuiltinScenarioCatalog) {
-  HostGuard guard;
+  ResourceGuard guard(kGoldenResource);
   for (const auto& spec : workload::builtin_scenarios()) {
-    const auto p = spec.make_profile();
-    for (const size_t batch : {size_t{1}, size_t{3}, size_t{8}}) {
-      auto opts = spec.make_options(tmp_options());
-      opts.replay_batch = batch;
-      opts.pace = emulator::ReplayPace::Off;
-      expect_frame_map_parity(
-          p, opts, spec.name + "/batch" + std::to_string(batch));
-    }
+    expect_golden("scenario:" + spec.name, spec.make_profile(),
+                  spec.make_options(tmp_options()));
   }
 }
 
 TEST(ReplayFrames, ParityOnVariableRateProfile) {
-  HostGuard guard;
+  ResourceGuard guard(kGoldenResource);
   const auto p = variable_profile();
   ASSERT_TRUE(p.variable_rate());
-  for (const size_t batch : {size_t{1}, size_t{3}, size_t{8}}) {
-    auto opts = tmp_options();
-    opts.replay_batch = batch;
-    opts.pace = emulator::ReplayPace::Off;  // parity, not timing
-    expect_frame_map_parity(p, opts, "variable/batch" + std::to_string(batch));
-  }
+  expect_golden("variable", p, tmp_options());
 }
 
 TEST(ReplayFrames, ParityOnBinaryPayloadProfile) {
-  HostGuard guard;
+  ResourceGuard guard(kGoldenResource);
   const auto p = profile::Profile::from_binary(fixed_profile(10).to_binary());
   ASSERT_TRUE(p.has_binary_payload());
-  for (const size_t batch : {size_t{1}, size_t{3}, size_t{8}}) {
-    auto opts = tmp_options();
-    opts.replay_batch = batch;
-    expect_frame_map_parity(p, opts, "binary/batch" + std::to_string(batch));
-  }
+  expect_golden("binary", p, tmp_options());
 }
 
 TEST(ReplayFrames, ParityUnderWorkloadScales) {
-  HostGuard guard;
-  // Scales off the identity path: the frame plan bakes them into lanes
-  // once, the map path multiplies per sample — results must still be
-  // bit-identical (same single multiplication either way).
-  const auto p = fixed_profile(8);
+  ResourceGuard guard(kGoldenResource);
+  // Scales off the identity path: the plan bakes them into lanes once,
+  // the map feed multiplied per sample — the same single multiplication
+  // either way, so the results stay bit-identical.
   auto opts = tmp_options();
   opts.cycle_scale = 0.5;
   opts.memory_scale = 2.0;
   opts.io_scale = 3.0;
-  for (const size_t batch : {size_t{1}, size_t{4}}) {
-    opts.replay_batch = batch;
-    expect_frame_map_parity(p, opts, "scaled/batch" + std::to_string(batch));
-  }
+  expect_golden("scaled", fixed_profile(8), opts);
 }
 
 TEST(ReplayFrames, LegacyCustomAtomRunsThroughAdapter) {
-  HostGuard guard;
+  ResourceGuard guard(kGoldenResource);
   // TallyAtom implements only wants()/consume(): the plan must mark it
-  // adapter-dispatched and unbox every row for it, in both feed modes.
+  // adapter-dispatched and unbox every row for it, at every window.
   atoms::AtomRegistry registry;
   registry.register_atom("tally", [](const atoms::AtomBuildContext&) {
     return std::make_unique<TallyAtom>();
   });
   const auto p = fixed_profile(9);
-  for (const size_t batch : {size_t{1}, size_t{4}}) {
-    auto opts = tmp_options();
-    opts.atom_set = {"compute", "tally"};
-    opts.replay_batch = batch;
-    opts.replay_frames = true;
-    emulator::ReplayEngine engine(opts, &registry);
-    const auto r = engine.replay(p);
-    ASSERT_TRUE(r.atom_stats.count("tally"));
-    EXPECT_EQ(r.atom_stats.at("tally").samples_consumed, 9u);
-    expect_frame_map_parity(p, opts, "tally/batch" + std::to_string(batch),
-                            &registry);
-  }
+  auto opts = tmp_options();
+  opts.atom_set = {"compute", "tally"};
+  emulator::ReplayEngine engine(opts, &registry);
+  const auto r = engine.replay(p);
+  ASSERT_TRUE(r.atom_stats.count("tally"));
+  EXPECT_EQ(r.atom_stats.at("tally").samples_consumed, 9u);
+  expect_golden("tally", p, opts, &registry);
 }
 
 TEST(ReplayFrames, AtomWithNoRecordedMetricsStaysIdle) {
-  HostGuard guard;
+  ResourceGuard guard(kGoldenResource);
   // The profile records no network metrics: the plan marks the network
-  // atom idle (hoisted wants() miss) and it must consume nothing —
-  // exactly what per-sample wants() probing yields on the map path.
+  // atom idle (no consumer at all) and it must consume nothing.
   const auto p = fixed_profile(5);
+  auto opts = tmp_options();
+  opts.emulate_network = true;
+  expect_golden("idle-net", p, opts);
   for (const size_t batch : {size_t{1}, size_t{3}}) {
-    auto opts = tmp_options();
-    opts.emulate_network = true;
     opts.replay_batch = batch;
-    expect_frame_map_parity(p, opts, "idle-net/batch" + std::to_string(batch));
-
-    opts.replay_frames = true;
     emulator::ReplayEngine engine(opts);
     const auto r = engine.replay(p);
     EXPECT_EQ(r.network.samples_consumed, 0u);
@@ -324,11 +403,10 @@ TEST(ReplayFrames, AtomWithNoRecordedMetricsStaysIdle) {
 }
 
 TEST(ReplayFrames, FrameFeedFiresHooksInRecordedOrder) {
-  HostGuard guard;
+  ResourceGuard guard;
   auto opts = tmp_options();
   opts.atom_set = {"memory"};
   opts.replay_batch = 3;
-  opts.replay_frames = true;
   emulator::ReplayEngine engine(opts);
   std::vector<size_t> seen;
   const auto r = engine.replay(fixed_profile(8), [&seen](size_t index) {
@@ -340,31 +418,64 @@ TEST(ReplayFrames, FrameFeedFiresHooksInRecordedOrder) {
 }
 
 TEST(ReplayFrames, HookErrorAbortsFramePipelineWithoutDeadlock) {
-  HostGuard guard;
-  // A throwing hook must propagate out of replay() with the producer
-  // and consumers joined — the regression case is the producer spinning
-  // forever on a task slot the dead coordinator never releases.
-  auto opts = tmp_options();
-  opts.atom_set = {"memory"};
-  opts.replay_batch = 2;
-  opts.replay_queue_depth = 1;  // smallest pool: recycling under stress
-  opts.replay_frames = true;
-  emulator::ReplayEngine engine(opts);
-  EXPECT_THROW(engine.replay(fixed_profile(64),
-                             [](size_t index) {
-                               if (index >= 3) {
-                                 throw sys::SynapseError("hook failed");
-                               }
-                             }),
-               sys::SynapseError);
+  ResourceGuard guard;
+  // A throwing hook must propagate out of replay() with every consumer
+  // joined. In lockstep (batch 1) no atom may consume a sample past the
+  // one whose hook threw; batch 2 keeps several windows in flight.
+  std::atomic<size_t> consumed{0};
+  atoms::AtomRegistry registry;
+  registry.register_atom("counter",
+                         [&consumed](const atoms::AtomBuildContext&) {
+                           return std::make_unique<CountingAtom>(&consumed);
+                         });
+  for (const size_t batch : {size_t{1}, size_t{2}}) {
+    consumed = 0;
+    auto opts = tmp_options();
+    opts.atom_set = {"memory", "counter"};
+    opts.replay_batch = batch;
+    emulator::ReplayEngine engine(opts, &registry);
+    EXPECT_THROW(engine.replay(fixed_profile(64),
+                               [](size_t index) {
+                                 if (index >= 3) {
+                                   throw sys::SynapseError("hook failed");
+                                 }
+                               }),
+                 sys::SynapseError)
+        << "batch " << batch;
+    if (batch == 1) {
+      EXPECT_EQ(consumed.load(), 4u);  // samples 0..3 only
+    }
+  }
 }
 
-TEST(ReplayFrames, MapFeedStillAvailableBehindTheKnob) {
-  HostGuard guard;
-  auto opts = tmp_options();
-  opts.replay_frames = false;
-  emulator::ReplayEngine engine(opts);
-  const auto r = engine.replay(fixed_profile(4));
-  EXPECT_EQ(r.samples_replayed, 4u);
-  EXPECT_EQ(r.storage.bytes_written, 4u * 32 * 1024);
+TEST(ReplayFrames, LockstepAtWindowOneAndConcurrentStartWithinASample) {
+  ResourceGuard guard;
+  // Two atoms that want every sample check the barrier from inside:
+  // each meets the other inside sample k (so both started it), and at
+  // window 1 each finds, on entering sample k, that both finished all
+  // k earlier samples.
+  for (const size_t batch : {size_t{1}, size_t{4}}) {
+    LockstepProbe probe;
+    atoms::AtomRegistry registry;
+    for (const int self : {0, 1}) {
+      registry.register_atom(
+          self == 0 ? "left" : "right",
+          [&probe, self](const atoms::AtomBuildContext&) {
+            return std::make_unique<LockstepAtom>(self, &probe);
+          });
+    }
+    auto opts = tmp_options();
+    opts.atom_set = {"left", "right"};
+    opts.replay_batch = batch;
+    emulator::ReplayEngine engine(opts, &registry);
+    const auto r = engine.replay(fixed_profile(12));
+    const std::string context = "batch " + std::to_string(batch);
+    EXPECT_EQ(r.samples_replayed, 12u) << context;
+    EXPECT_EQ(r.atom_stats.at("left").samples_consumed, 12u) << context;
+    EXPECT_EQ(r.atom_stats.at("right").samples_consumed, 12u) << context;
+    EXPECT_FALSE(probe.missed_rendezvous.load()) << context;
+    if (batch == 1) {
+      EXPECT_EQ(probe.lockstep_violations.load(), 0) << context;
+    }
+  }
 }
