@@ -8,6 +8,7 @@
 
 #include "atoms/kernels.hpp"
 #include "json/json.hpp"
+#include "profile/delta_frame.hpp"
 #include "profile/metrics.hpp"
 #include "profile/profile.hpp"
 #include "resource/throttle.hpp"
@@ -103,8 +104,10 @@ static void BM_SampleDeltaDecomposition(benchmark::State& state) {
     ts.samples.push_back(std::move(s));
   }
   p.series.push_back(std::move(ts));
+  // No SYNB payload: delta_table() encodes the series, then runs the
+  // column kernel.
   for (auto _ : state) {
-    benchmark::DoNotOptimize(p.sample_deltas());
+    benchmark::DoNotOptimize(p.delta_table());
   }
   state.SetComplexityN(static_cast<int64_t>(n));
 }

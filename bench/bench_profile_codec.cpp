@@ -7,7 +7,6 @@
 //   dump    - Profile::to_json + json::dump (compact)
 //   encode  - Profile::to_binary (SYNB)
 //   parse   - json::parse (heap DOM) + Profile::from_json
-//   arena   - json::parse into a reused json::Arena + Profile::from_arena
 //   decode  - Profile::from_binary (includes the payload copy a store
 //             read would make)
 //
@@ -26,7 +25,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "json/arena.hpp"
+#include "json/json.hpp"
 #include "profile/profile.hpp"
 #include "sys/clock.hpp"
 #include "workload/scenario.hpp"
@@ -42,7 +41,6 @@ struct CodecTiming {
   double dump_s = 0.0;
   double encode_s = 0.0;
   double parse_s = 0.0;
-  double arena_s = 0.0;
   double decode_s = 0.0;
   size_t json_bytes = 0;
   size_t synb_bytes = 0;
@@ -77,16 +75,6 @@ CodecTiming run_one(const profile::Profile& p, size_t iters) {
   }
   t.parse_s = w.elapsed() / static_cast<double>(iters);
 
-  json::Arena arena;  // reused across iterations, as the store does
-  w.reset();
-  for (size_t i = 0; i < iters; ++i) {
-    arena.reset();
-    const profile::Profile back =
-        profile::Profile::from_arena(json::parse(text, arena));
-    if (back.sample_count() != p.sample_count()) std::abort();
-  }
-  t.arena_s = w.elapsed() / static_cast<double>(iters);
-
   w.reset();
   for (size_t i = 0; i < iters; ++i) {
     const profile::Profile back = profile::Profile::from_binary(blob);
@@ -114,9 +102,9 @@ int main(int argc, char** argv) {
 
   bench::heading("Profile codec — JSON vs SYNB, " + std::to_string(iters) +
                  " iters per scenario");
-  bench::row("%-22s %8s %9s %9s %6s %8s %8s %8s %8s %8s", "scenario",
+  bench::row("%-22s %8s %9s %9s %6s %8s %8s %8s %8s", "scenario",
              "samples", "json", "synb", "ratio", "dump", "encode", "parse",
-             "arena", "decode");
+             "decode");
 
   CodecTiming total;
   size_t total_samples = 0;
@@ -124,13 +112,13 @@ int main(int argc, char** argv) {
     const profile::Profile p = spec.make_profile();
     const CodecTiming t = run_one(p, iters);
     bench::row("%-22s %8zu %8zuB %8zuB %5.2f %7.0fus %7.0fus %7.0fus "
-               "%7.0fus %7.0fus",
+               "%7.0fus",
                spec.name.c_str(), p.sample_count(), t.json_bytes,
                t.synb_bytes,
                static_cast<double>(t.synb_bytes) /
                    static_cast<double>(t.json_bytes),
                t.dump_s * 1e6, t.encode_s * 1e6, t.parse_s * 1e6,
-               t.arena_s * 1e6, t.decode_s * 1e6);
+               t.decode_s * 1e6);
     bench::results().record(spec.name, "json_bytes",
                             static_cast<double>(t.json_bytes), "B");
     bench::results().record(spec.name, "synb_bytes",
@@ -138,27 +126,24 @@ int main(int argc, char** argv) {
     bench::results().record(spec.name, "dump_s", t.dump_s, "s");
     bench::results().record(spec.name, "encode_s", t.encode_s, "s");
     bench::results().record(spec.name, "parse_s", t.parse_s, "s");
-    bench::results().record(spec.name, "arena_s", t.arena_s, "s");
     bench::results().record(spec.name, "decode_s", t.decode_s, "s");
     total.dump_s += t.dump_s;
     total.encode_s += t.encode_s;
     total.parse_s += t.parse_s;
-    total.arena_s += t.arena_s;
     total.decode_s += t.decode_s;
     total.json_bytes += t.json_bytes;
     total.synb_bytes += t.synb_bytes;
     total_samples += p.sample_count();
   }
   bench::row("%-22s %8zu %8zuB %8zuB %5.2f %7.0fus %7.0fus %7.0fus "
-             "%7.0fus %7.0fus",
+             "%7.0fus",
              "TOTAL", total_samples, total.json_bytes, total.synb_bytes,
              static_cast<double>(total.synb_bytes) /
                  static_cast<double>(total.json_bytes),
              total.dump_s * 1e6, total.encode_s * 1e6, total.parse_s * 1e6,
-             total.arena_s * 1e6, total.decode_s * 1e6);
-  bench::row("(parse/arena speedup %.1fx, parse/decode %.1fx, "
-             "dump/encode %.1fx, size ratio %.2f)",
-             total.parse_s / total.arena_s, total.parse_s / total.decode_s,
+             total.decode_s * 1e6);
+  bench::row("(parse/decode %.1fx, dump/encode %.1fx, size ratio %.2f)",
+             total.parse_s / total.decode_s,
              total.dump_s / total.encode_s,
              static_cast<double>(total.synb_bytes) /
                  static_cast<double>(total.json_bytes));

@@ -12,8 +12,8 @@
 //
 // A second, decode-bound section replays the same profile out of a
 // files-backed ProfileStore written once as JSON and once as SYNB
-// binary: the timed path is store read (parse/decode) + sample_deltas
-// (map walk vs columnar fast path) + the replay itself, so the binary
+// binary: the timed path is store read (parse/decode) + delta_table
+// (what the replay plan compiles) + the replay itself, so the binary
 // codec's whole-pipeline win ("vs json" on the decode columns) is
 // measured where it matters.
 //
@@ -32,6 +32,7 @@
 
 #include "bench_util.hpp"
 #include "emulator/replay_engine.hpp"
+#include "profile/delta_frame.hpp"
 #include "profile/metrics.hpp"
 #include "profile/profile_store.hpp"
 #include "sys/clock.hpp"
@@ -118,7 +119,7 @@ void dispatch_bound_section(size_t samples) {
   }
 }
 
-/// JSON-vs-binary replay out of a files store: read + sample_deltas +
+/// JSON-vs-binary replay out of a files store: read + delta_table +
 /// replay per format. The decode columns (read + deltas) are where the
 /// codec shows; the replay column is format-independent atom work.
 void store_backed_section(size_t samples) {
@@ -156,9 +157,9 @@ void store_backed_section(size_t samples) {
       continue;
     }
     w.reset();
-    const auto deltas = stored->sample_deltas();
+    const profile::DeltaTable table = stored->delta_table();
     const double deltas_s = w.elapsed();
-    (void)deltas;
+    (void)table;
 
     emulator::EmulatorOptions opts = bench::emu_options();
     opts.atom_set = {"compute", "memory", "storage"};

@@ -130,7 +130,7 @@ namespace {
 
 class Parser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  explicit Parser(std::string_view text) : text_(text) {}
 
   Value parse_document() {
     skip_ws();
@@ -316,13 +316,13 @@ class Parser {
     }
     if (pos_ == start) fail("invalid value");
     char* end = nullptr;
-    const std::string token = text_.substr(start, pos_ - start);
+    const std::string token(text_.substr(start, pos_ - start));
     const double v = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) fail("invalid number");
     return Value(v);
   }
 
-  const std::string& text_;
+  std::string_view text_;
   size_t pos_ = 0;
 };
 
@@ -458,7 +458,7 @@ size_t estimate_size(const Value& v, int indent, int depth) {
 
 }  // namespace
 
-Value parse(const std::string& text) { return Parser(text).parse_document(); }
+Value parse(std::string_view text) { return Parser(text).parse_document(); }
 
 std::string dump(const Value& value, int indent) {
   // One preallocated output buffer for the whole document: the writer

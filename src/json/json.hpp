@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -91,7 +92,8 @@ class Value {
 };
 
 /// Parse a JSON document. Throws JsonError with line/column on failure.
-Value parse(const std::string& text);
+/// The text is only read during the call; the result owns its data.
+Value parse(std::string_view text);
 
 /// Serialize. `indent` <= 0 produces compact output.
 std::string dump(const Value& value, int indent = 0);

@@ -214,8 +214,8 @@ std::string encode_binary(const Profile& p) {
     }
 
     // Interned metric dictionary: the sorted union of metric names across
-    // the series' samples. Sorted order matters — the columnar
-    // sample_deltas walk relies on it to reproduce the map walk exactly.
+    // the series' samples. Sorted order matters: the delta kernel's lane
+    // order and its float-op order follow it.
     std::set<std::string_view> names;
     for (const auto& s : ts.samples) {
       for (const auto& [k, _] : s.values) names.insert(k);
@@ -358,7 +358,7 @@ Profile decode_binary(std::string_view data) {
   Profile p;
   try {
     // The header is the series-less to_json shape; from_json handles it.
-    p = Profile::from_json(json::parse(std::string(head.header)));
+    p = Profile::from_json(json::parse(head.header));
   } catch (const json::JsonError& e) {
     throw CodecError(std::string("corrupt SYNB container: bad JSON header: ") +
                      e.what());
@@ -408,7 +408,7 @@ BinaryProfileInfo decode_binary_identity(std::string_view data) {
   const std::string_view header = open_container(c).header;
   BinaryProfileInfo info;
   try {
-    const json::Value v = json::parse(std::string(header));
+    const json::Value v = json::parse(header);
     info.command = v.get_or("command", std::string());
     if (v.contains("tags")) {
       for (const auto& t : v["tags"].as_array()) {
@@ -425,20 +425,24 @@ BinaryProfileInfo decode_binary_identity(std::string_view data) {
 
 namespace {
 
-/// One accumulation lane per metric name, shared across series (the map
-/// walk accumulates into one slot per (bucket, metric) across series
-/// too). `present` distinguishes "never touched" from "delta sums to
-/// zero", matching map-key insertion semantics.
+/// One accumulation lane per metric name, shared across series (a delta
+/// row holds one slot per metric, whichever series recorded it).
+/// `present` distinguishes "never touched" from "delta sums to zero";
+/// `touched` is whether any row is present at all.
 struct Accum {
   bool instantaneous = false;
+  bool touched = false;
   std::vector<double> value;
   std::vector<uint8_t> present;
 };
 
-/// The shared lane walk: per-slot float operations happen in the same
-/// (series, sample) order as the map walk, so the two paths are
-/// bit-identical — a property the round-trip tests pin down. `bucket_of`
-/// supplies the bucketing (fixed period or timestamp-union).
+/// The delta kernel. Per slot, the float operations run in (series,
+/// sample) order, which is what keeps the result bit-identical to the
+/// golden tables the retired per-sample map walk produced.
+/// Instantaneous metrics carry their max within the row (present on
+/// every touch); cumulative ones are differenced per series and
+/// present only where a positive delta lands. `bucket_of` supplies the
+/// bucketing (fixed period or timestamp union).
 template <typename BucketFn>
 std::map<std::string, Accum, std::less<>> accumulate_lanes(
     const ProfileColumnsView& columns, size_t buckets, BucketFn bucket_of) {
@@ -460,17 +464,15 @@ std::map<std::string, Accum, std::less<>> accumulate_lanes(
       Accum& acc = it->second;
       size_t cursor = 0;
       if (acc.instantaneous) {
-        // Map path: slot = max(slot, v), key inserted on every touch.
         for (size_t i = 0; i < sv.sample_count; ++i) {
           if (!mc.present(i)) continue;
           const double v = mc.value(cursor++);
           const size_t b = bucket[i];
           acc.present[b] = 1;
+          acc.touched = true;
           acc.value[b] = std::max(acc.value[b], v);
         }
       } else {
-        // Map path: per-series last_cumulative differencing, key inserted
-        // only when a positive delta lands.
         double prev = 0.0;
         for (size_t i = 0; i < sv.sample_count; ++i) {
           if (!mc.present(i)) continue;
@@ -481,6 +483,7 @@ std::map<std::string, Accum, std::less<>> accumulate_lanes(
             const size_t b = bucket[i];
             acc.value[b] += delta;
             acc.present[b] = 1;
+            acc.touched = true;
           }
         }
       }
@@ -489,34 +492,33 @@ std::map<std::string, Accum, std::less<>> accumulate_lanes(
   return accums;
 }
 
-/// Lanes -> SampleDelta list. accums iterates in sorted name order, so
-/// every per-bucket map is built by appending at its end.
-std::vector<SampleDelta> emit_deltas(
-    const std::map<std::string, Accum, std::less<>>& accums, size_t buckets) {
-  std::vector<SampleDelta> out(buckets);
-  for (const auto& [name, acc] : accums) {
-    for (size_t b = 0; b < buckets; ++b) {
-      if (acc.present[b]) {
-        out[b].deltas.emplace_hint(out[b].deltas.end(), name, acc.value[b]);
-      }
-    }
+/// Accumulated lanes -> DeltaTable. The map iterates in sorted name
+/// order, which is the LaneTable's order, and each lane's value/present
+/// vectors move straight in as its columns. A metric no row ever
+/// received gets no lane, so an unrecorded metric and one whose deltas
+/// were never positive read the same (kNoLane).
+DeltaTable make_table(std::map<std::string, Accum, std::less<>> accums,
+                      std::vector<double> durations) {
+  std::vector<std::string> names;
+  std::vector<std::vector<double>> values;
+  std::vector<std::vector<uint8_t>> present;
+  for (auto& [name, lane] : accums) {
+    if (!lane.touched) continue;
+    names.push_back(name);
+    values.push_back(std::move(lane.value));
+    present.push_back(std::move(lane.present));
   }
-  return out;
+  return DeltaTable(LaneTable(std::move(names)), std::move(durations),
+                    std::move(values), std::move(present));
 }
 
-/// The bucketing + accumulation shared by sample_deltas_from_columns
-/// and delta_table_from_columns: per-bucket durations plus one Accum
-/// lane per metric. Empty durations = no samples (empty output).
-struct LaneAccumulation {
-  std::vector<double> durations;
-  std::map<std::string, Accum, std::less<>> accums;
-};
+}  // namespace
 
-LaneAccumulation accumulate_columns(const ProfileColumnsView& columns,
+DeltaTable delta_table_from_columns(const ProfileColumnsView& columns,
                                     double profile_rate_hz) {
-  // Mirror of Profile::sample_deltas() over flat columns; see
-  // accumulate_lanes for the bit-identity contract.
-  LaneAccumulation out;
+  // Row resolution follows the fastest recorded series: with
+  // per-watcher rate overrides the high-rate series defines the replay
+  // granularity, slower series simply contribute to fewer rows.
   double rate = profile_rate_hz;
   for (const auto& sv : columns.series) rate = std::max(rate, sv.rate_hz);
 
@@ -524,8 +526,12 @@ LaneAccumulation accumulate_columns(const ProfileColumnsView& columns,
   for (const auto& sv : columns.series) variable = variable || sv.variable_rate;
 
   if (variable) {
-    // Timestamp-union bucketing: same edges, same durations, same
-    // exact-double binary search as the map walk's variable branch.
+    // Variable-rate profiles: the recorded timestamps ARE the rows.
+    // Edges = sorted unique union of every sample instant across
+    // series; each row's duration is the recorded gap to the previous
+    // edge, so the replay trajectory (burst density, idle stretches)
+    // survives exactly. Bucket lookup is an exact-double binary search,
+    // so a sample always finds its own timestamp.
     std::vector<double> edges;
     size_t total = 0;
     for (const auto& sv : columns.series) total += sv.sample_count;
@@ -537,32 +543,39 @@ LaneAccumulation accumulate_columns(const ProfileColumnsView& columns,
     }
     std::sort(edges.begin(), edges.end());
     edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-    if (edges.empty()) return out;
+    if (edges.empty()) return {};
 
+    std::vector<double> durations(edges.size());
+    // The first row has no predecessor; fall back to the nominal
+    // (burst) period, then to the first recorded gap.
+    durations[0] = rate > 0.0 ? 1.0 / rate
+                              : (edges.size() > 1 ? edges[1] - edges[0] : 0.0);
+    for (size_t j = 1; j < edges.size(); ++j) {
+      durations[j] = edges[j] - edges[j - 1];
+    }
     const auto bucket_of = [&edges](double t) {
       return static_cast<size_t>(
           std::lower_bound(edges.begin(), edges.end(), t) - edges.begin());
     };
-    out.accums = accumulate_lanes(columns, edges.size(), bucket_of);
-    out.durations.resize(edges.size());
-    out.durations[0] = rate > 0.0
-                           ? 1.0 / rate
-                           : (edges.size() > 1 ? edges[1] - edges[0] : 0.0);
-    for (size_t j = 1; j < edges.size(); ++j) {
-      out.durations[j] = edges[j] - edges[j - 1];
-    }
-    return out;
+    return make_table(accumulate_lanes(columns, edges.size(), bucket_of),
+                      std::move(durations));
   }
 
-  if (rate <= 0.0) return out;
+  if (rate <= 0.0) return {};
   const double period = 1.0 / rate;
 
+  // The profile time origin: the earliest timestamp of any series.
+  // Watcher clocks are unsynchronised (deliberately, section 4.1);
+  // bucketing on the common origin reconstructs the recorded ordering
+  // across resource types, which is all the emulation semantics need.
   double origin = std::numeric_limits<double>::infinity();
   for (const auto& sv : columns.series) {
     if (sv.sample_count > 0) origin = std::min(origin, sv.timestamp(0));
   }
-  if (!std::isfinite(origin)) return out;
+  if (!std::isfinite(origin)) return {};
 
+  // The epsilon absorbs floating-point jitter when timestamps land
+  // exactly on period boundaries (synthetic profiles do).
   auto bucket_of = [origin, period](double t) {
     return static_cast<size_t>(std::max(0.0, (t - origin) / period + 1e-9));
   };
@@ -574,41 +587,8 @@ LaneAccumulation accumulate_columns(const ProfileColumnsView& columns,
     }
   }
   const size_t buckets = max_bucket + 1;
-
-  out.accums = accumulate_lanes(columns, buckets, bucket_of);
-  out.durations.assign(buckets, period);
-  return out;
-}
-
-}  // namespace
-
-std::vector<SampleDelta> sample_deltas_from_columns(
-    const ProfileColumnsView& columns, double profile_rate_hz) {
-  LaneAccumulation acc = accumulate_columns(columns, profile_rate_hz);
-  auto out = emit_deltas(acc.accums, acc.durations.size());
-  for (size_t i = 0; i < out.size(); ++i) out[i].duration = acc.durations[i];
-  return out;
-}
-
-DeltaTable delta_table_from_columns(const ProfileColumnsView& columns,
-                                    double profile_rate_hz) {
-  LaneAccumulation acc = accumulate_columns(columns, profile_rate_hz);
-  // The accumulation map iterates in sorted name order — exactly the
-  // LaneTable's dictionary order — and its per-bucket value/present
-  // vectors ARE the table's columns; they move straight in.
-  std::vector<std::string> names;
-  std::vector<std::vector<double>> values;
-  std::vector<std::vector<uint8_t>> present;
-  names.reserve(acc.accums.size());
-  values.reserve(acc.accums.size());
-  present.reserve(acc.accums.size());
-  for (auto& [name, lane] : acc.accums) {
-    names.push_back(name);
-    values.push_back(std::move(lane.value));
-    present.push_back(std::move(lane.present));
-  }
-  return DeltaTable(LaneTable(std::move(names)), std::move(acc.durations),
-                    std::move(values), std::move(present));
+  return make_table(accumulate_lanes(columns, buckets, bucket_of),
+                    std::vector<double>(buckets, period));
 }
 
 // --- base64 -----------------------------------------------------------------

@@ -10,8 +10,11 @@
 // column, and one contiguous little-endian f64 column per metric (with
 // a presence bitmap when a metric is absent from some samples). Decode
 // therefore walks flat arrays instead of re-hashing one string→double
-// map per sample, which is what dominates the replay producer and the
-// store ingest path.
+// map per sample. The columns are also the only input of the delta
+// kernel (delta_table_from_columns): a retained payload is read in
+// place, any other profile is encoded first, since the encoder is
+// exactly the transpose of the per-sample maps into sorted,
+// presence-tagged columns.
 //
 // Container layout (all integers little-endian):
 //
@@ -70,8 +73,8 @@ std::string encode_binary(const Profile& p);
 
 /// Decode a SYNB blob into a fully materialized Profile. Throws
 /// CodecError on malformed input. Prefer Profile::from_binary, which
-/// additionally retains the blob for the columnar sample_deltas() fast
-/// path.
+/// additionally retains the blob so delta_table() can run the kernel
+/// over its columns without re-encoding.
 Profile decode_binary(std::string_view data);
 
 /// Identity fields straight from the JSON header — listings and
@@ -131,20 +134,14 @@ struct ProfileColumnsView {
 /// Throws CodecError on malformed input.
 ProfileColumnsView decode_columns(std::string_view data);
 
-/// sample_deltas computed straight from columns, bit-identical to the
-/// map-walking Profile::sample_deltas() (same bucketing, same float
-/// accumulation order) — including the variable-rate timestamp-union
-/// bucketing when any series carries the variable_rate flag.
+/// The delta kernel: per-period consumption deltas computed from
+/// columns into a DeltaTable (delta_frame.hpp), the only delta product.
+/// Fixed-rate profiles are bucketed on the fastest series' period from
+/// the earliest timestamp; if any series carries the variable_rate flag
+/// the rows are the union of the recorded timestamps instead.
 /// `profile_rate_hz` is the profile-level rate the per-series rates are
-/// maxed against.
-std::vector<SampleDelta> sample_deltas_from_columns(
-    const ProfileColumnsView& columns, double profile_rate_hz);
-
-/// The same accumulation emitted as a columnar DeltaTable instead of
-/// per-sample maps (delta_frame.hpp): the compiled-replay input. Shares
-/// the bucketing and float-op order with sample_deltas_from_columns, so
-/// table cell (lane, row) is bit-identical to the map walk's value and
-/// presence mirrors map-key existence — no SampleDelta is materialized.
+/// maxed against. Profile::delta_table() feeds it the retained payload
+/// or a fresh encode_binary() of the profile.
 DeltaTable delta_table_from_columns(const ProfileColumnsView& columns,
                                     double profile_rate_hz);
 

@@ -5,19 +5,19 @@
 // A DeltaTable interns the profile's metric names into dense lane IDs
 // (LaneTable) and stores one contiguous f64 column per metric plus a
 // presence column (distinguishing "metric absent from this period" from
-// "delta sums to zero" — the same distinction map-key insertion makes).
-// The table is built either straight from SYNB decode_columns() views
-// (binary_codec.hpp, delta_table_from_columns — no SampleDelta map is
-// ever materialized) or from an already-decoded delta list
-// (DeltaTable::from_deltas, the fallback for profiles without a binary
-// payload).
+// "delta sums to zero"). One kernel builds it, from SYNB
+// decode_columns() views (binary_codec.hpp, delta_table_from_columns):
+// Profile::delta_table() hands it the retained payload, or a fresh
+// encode of profiles that have none. No SampleDelta map is ever
+// materialized on the way.
 //
 // A DeltaFrame is a cheap value-type view of a contiguous row range of
 // one table — the unit the replay engine hands to
 // atoms::Atom::consume_frame, and the wire shape a future shared-memory
 // live mode would publish. unbox() converts one row back into the legacy
-// SampleDelta (sorted-name map, identical to what the map walk emits),
-// which is what keeps custom atoms without frame support working.
+// SampleDelta (sorted-name map of the present lanes), which is what
+// keeps custom atoms without frame support working and what
+// Profile::sample_deltas() returns.
 
 #include <cstddef>
 #include <cstdint>
@@ -37,9 +37,8 @@ class LaneTable {
   static constexpr uint32_t kNoLane = 0xffffffffu;
 
   LaneTable() = default;
-  /// `sorted_names` must be sorted and unique (the builders guarantee
-  /// it: std::set iteration for from_deltas, sorted accumulation map for
-  /// the columnar path).
+  /// `sorted_names` must be sorted and unique (the kernel guarantees it:
+  /// its accumulation map iterates in name order).
   explicit LaneTable(std::vector<std::string> sorted_names)
       : names_(std::move(sorted_names)) {}
 
@@ -56,12 +55,11 @@ class LaneTable {
 
 class DeltaFrame;
 
-/// SoA mirror of Profile::sample_deltas(): row r of lane l holds the
-/// same double the map walk would store under lanes().name(l) in
-/// delta r (bit-identical — the builders reuse the map walk's exact
-/// accumulation order), and present(l, r) is true exactly when the map
-/// would contain the key. Cells that are absent hold 0.0, so get()
-/// matches SampleDelta::get's default without a presence check.
+/// Per-period consumption deltas, one row per period: row r of lane l
+/// holds the delta of metric lanes().name(l) in period r, and
+/// present(l, r) says whether that period recorded one. Every lane is
+/// present in at least one row. Cells that are absent hold 0.0, so
+/// get() matches SampleDelta::get's default without a presence check.
 class DeltaTable {
  public:
   DeltaTable() = default;
@@ -94,17 +92,12 @@ class DeltaTable {
   void scale_lane(uint32_t lane, double factor);
 
   /// Rebuild the legacy SampleDelta of one row: present lanes become map
-  /// keys in sorted order — the exact map the map walk would emit.
+  /// keys in sorted order.
   SampleDelta unbox(size_t row) const;
 
   /// View of `count` rows starting at `first` (bounds unchecked beyond
   /// debug assertions; callers slice within rows()).
   DeltaFrame frame(size_t first, size_t count) const;
-
-  /// Build from an already-decoded delta list (profiles without a
-  /// retained SYNB payload). Trivially bit-identical: it re-shapes the
-  /// map walk's own output.
-  static DeltaTable from_deltas(const std::vector<SampleDelta>& deltas);
 
  private:
   LaneTable lanes_;

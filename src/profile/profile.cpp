@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <set>
 
-#include "json/arena.hpp"
 #include "profile/binary_codec.hpp"
 #include "profile/metrics.hpp"
 #include "sys/mmap_file.hpp"
@@ -71,14 +71,33 @@ json::Value SystemInfo::to_json() const {
   return json::Value(std::move(o));
 }
 
+namespace {
+
+/// A stored count as T. The double comes from untrusted JSON, and
+/// converting a value outside T's range is undefined behaviour, so
+/// non-finite, negative and too-large values throw instead.
+template <typename T>
+T count_or_throw(const json::Value& v, const std::string& key) {
+  const double d = v.get_or(key, 0.0);
+  // 2^digits is the first value past T's range; NaN fails both tests.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(d >= 0.0 && d < limit)) {
+    char text[32];
+    std::snprintf(text, sizeof(text), "%g", d);
+    throw json::JsonError("system." + key + " out of range: " + text);
+  }
+  return static_cast<T>(d);
+}
+
+}  // namespace
+
 SystemInfo SystemInfo::from_json(const json::Value& v) {
   SystemInfo s;
   s.hostname = v.get_or("hostname", std::string());
   s.cpu_model = v.get_or("cpu_model", std::string());
-  s.num_cores = static_cast<int>(v.get_or("num_cores", 0.0));
+  s.num_cores = count_or_throw<int>(v, "num_cores");
   s.max_cpu_freq_hz = v.get_or("max_cpu_freq_hz", 0.0);
-  s.total_memory_bytes =
-      static_cast<uint64_t>(v.get_or("total_memory_bytes", 0.0));
+  s.total_memory_bytes = count_or_throw<uint64_t>(v, "total_memory_bytes");
   s.resource_name = v.get_or("resource_name", std::string());
   return s;
 }
@@ -133,7 +152,7 @@ namespace {
 /// True when the retained SYNB payload still describes `series`: same
 /// watchers, rates, sample counts and timestamps. Cheap relative to a
 /// delta computation (no per-sample maps are touched), and the guard
-/// that lets sample_deltas() trust the columns.
+/// that lets delta_table() trust the columns.
 bool matches_payload_shape(const ProfileColumnsView& cols,
                            const std::vector<TimeSeries>& series) {
   if (cols.series.size() != series.size()) return false;
@@ -154,129 +173,6 @@ bool matches_payload_shape(const ProfileColumnsView& cols,
 
 }  // namespace
 
-std::vector<SampleDelta> Profile::sample_deltas() const {
-  if (binary_) {
-    try {
-      const ProfileColumnsView cols = decode_columns(binary_->view());
-      if (matches_payload_shape(cols, series)) {
-        return sample_deltas_from_columns(cols, sample_rate_hz);
-      }
-    } catch (const CodecError&) {
-      // A damaged retained payload is not fatal — the materialized
-      // series below is authoritative.
-    }
-  }
-  // Period resolution follows the fastest recorded series: with
-  // per-watcher rate overrides the high-rate series defines the replay
-  // granularity, slower series simply contribute to fewer buckets.
-  double rate = sample_rate_hz;
-  for (const auto& ts : series) rate = std::max(rate, ts.sample_rate_hz);
-
-  if (variable_rate()) {
-    // Variable-rate profiles: the recorded timestamps ARE the buckets.
-    // Edges = sorted unique union of every sample instant across
-    // watchers; each delta's duration is the recorded gap to the
-    // previous edge, so the replay trajectory (burst density, idle
-    // stretches) survives exactly. Bucket lookup is an exact-double
-    // binary search — a sample always finds its own timestamp.
-    std::vector<double> edges;
-    size_t total = 0;
-    for (const auto& ts : series) total += ts.samples.size();
-    edges.reserve(total);
-    for (const auto& ts : series) {
-      for (const auto& s : ts.samples) edges.push_back(s.timestamp);
-    }
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-    if (edges.empty()) return {};
-
-    std::vector<SampleDelta> out(edges.size());
-    // The first bucket has no predecessor; fall back to the nominal
-    // (burst) period, then to the first recorded gap.
-    out[0].duration = rate > 0.0
-                          ? 1.0 / rate
-                          : (edges.size() > 1 ? edges[1] - edges[0] : 0.0);
-    for (size_t j = 1; j < edges.size(); ++j) {
-      out[j].duration = edges[j] - edges[j - 1];
-    }
-
-    const auto bucket_of = [&edges](double t) {
-      return static_cast<size_t>(
-          std::lower_bound(edges.begin(), edges.end(), t) - edges.begin());
-    };
-    for (const auto& ts : series) {
-      std::map<std::string, double> last_cumulative;
-      for (const auto& s : ts.samples) {
-        const size_t b = bucket_of(s.timestamp);
-        for (const auto& [metric, value] : s.values) {
-          if (is_instantaneous_metric(metric)) {
-            auto& slot = out[b].deltas[metric];
-            slot = std::max(slot, value);
-          } else {
-            double& prev = last_cumulative[metric];
-            const double delta = value - prev;
-            prev = value;
-            if (delta > 0) out[b].deltas[metric] += delta;
-          }
-        }
-      }
-    }
-    return out;
-  }
-
-  if (rate <= 0.0) return {};
-  const double period = 1.0 / rate;
-
-  // Establish the profile time origin: earliest timestamp seen anywhere.
-  double origin = std::numeric_limits<double>::infinity();
-  for (const auto& ts : series) {
-    if (!ts.samples.empty()) {
-      origin = std::min(origin, ts.samples.front().timestamp);
-    }
-  }
-  if (!std::isfinite(origin)) return {};
-
-  // Bucket samples from every watcher into period indices. Watcher clocks
-  // are unsynchronised (deliberately, section 4.1); bucketing on the
-  // common origin reconstructs the recorded ordering across resource
-  // types, which is all the emulation semantics require.
-  // The epsilon absorbs floating-point jitter when timestamps land
-  // exactly on period boundaries (synthetic profiles do).
-  auto bucket_of = [origin, period](double t) {
-    return static_cast<size_t>(
-        std::max(0.0, (t - origin) / period + 1e-9));
-  };
-
-  size_t max_bucket = 0;
-  for (const auto& ts : series) {
-    for (const auto& s : ts.samples) {
-      max_bucket = std::max(max_bucket, bucket_of(s.timestamp));
-    }
-  }
-
-  std::vector<SampleDelta> out(max_bucket + 1);
-  for (auto& d : out) d.duration = period;
-
-  for (const auto& ts : series) {
-    std::map<std::string, double> last_cumulative;
-    for (const auto& s : ts.samples) {
-      const size_t b = bucket_of(s.timestamp);
-      for (const auto& [metric, value] : s.values) {
-        if (is_instantaneous_metric(metric)) {
-          auto& slot = out[b].deltas[metric];
-          slot = std::max(slot, value);
-        } else {
-          double& prev = last_cumulative[metric];
-          const double delta = value - prev;
-          prev = value;
-          if (delta > 0) out[b].deltas[metric] += delta;
-        }
-      }
-    }
-  }
-  return out;
-}
-
 DeltaTable Profile::delta_table() const {
   if (binary_) {
     try {
@@ -285,11 +181,24 @@ DeltaTable Profile::delta_table() const {
         return delta_table_from_columns(cols, sample_rate_hz);
       }
     } catch (const CodecError&) {
-      // Same contract as sample_deltas(): a damaged retained payload is
-      // not fatal, the materialized series below is authoritative.
+      // A damaged retained payload is not fatal — the materialized
+      // series below is authoritative.
     }
   }
-  return DeltaTable::from_deltas(sample_deltas());
+  // Encoding transposes the per-sample maps into the sorted,
+  // presence-tagged columns the kernel reads.
+  const std::string encoded = encode_binary(*this);
+  return delta_table_from_columns(decode_columns(encoded), sample_rate_hz);
+}
+
+std::vector<SampleDelta> Profile::sample_deltas() const {
+  const DeltaTable table = delta_table();
+  std::vector<SampleDelta> out;
+  out.reserve(table.rows());
+  for (size_t row = 0; row < table.rows(); ++row) {
+    out.push_back(table.unbox(row));
+  }
+  return out;
 }
 
 void Profile::compute_derived() {
@@ -408,86 +317,6 @@ Profile Profile::from_json(const json::Value& v) {
   if (v.contains("derived")) {
     for (const auto& [k, val] : v["derived"].as_object()) {
       p.derived[k] = val.as_double();
-    }
-  }
-  return p;
-}
-
-namespace {
-
-SystemInfo system_from_arena(const json::ArenaValue& v) {
-  SystemInfo s;
-  s.hostname = v.get_or("hostname", std::string());
-  s.cpu_model = v.get_or("cpu_model", std::string());
-  s.num_cores = static_cast<int>(v.get_or("num_cores", 0.0));
-  s.max_cpu_freq_hz = v.get_or("max_cpu_freq_hz", 0.0);
-  s.total_memory_bytes =
-      static_cast<uint64_t>(v.get_or("total_memory_bytes", 0.0));
-  s.resource_name = v.get_or("resource_name", std::string());
-  return s;
-}
-
-}  // namespace
-
-Profile Profile::from_arena(const json::ArenaValue& v) {
-  Profile p;
-  p.command = v.get_or("command", std::string());
-  if (v.contains("tags")) {
-    const json::ArenaValue& jt = v["tags"];
-    for (const auto* t = jt.items_begin(); t != jt.items_end(); ++t) {
-      p.tags.emplace_back(t->as_string());
-    }
-  }
-  p.sample_rate_hz = v.get_or("sample_rate_hz", 10.0);
-  p.created_at = v.get_or("created_at", 0.0);
-  if (v.contains("system")) p.system = system_from_arena(v["system"]);
-
-  if (v.contains("series")) {
-    const json::ArenaValue& jseries = v["series"];
-    for (const auto* jts = jseries.items_begin(); jts != jseries.items_end();
-         ++jts) {
-      TimeSeries ts;
-      ts.watcher = jts->get_or("watcher", std::string());
-      ts.sample_rate_hz = jts->get_or("rate_hz", 0.0);
-      ts.variable_rate = jts->get_or("variable_rate", false);
-      if (jts->contains("gate")) {
-        const json::ArenaValue& jg = (*jts)["gate"];
-        ts.gate.floor_hz = jg.get_or("floor_hz", 0.0);
-        ts.gate.burst_hz = jg.get_or("burst_hz", 0.0);
-        ts.gate.open_threshold = jg.get_or("open_threshold", 0.0);
-        ts.gate.close_hold_s = jg.get_or("close_hold_s", 0.0);
-      }
-      const json::ArenaValue& jsamples = (*jts)["samples"];
-      ts.samples.reserve(jsamples.size());
-      for (const auto* js = jsamples.items_begin();
-           js != jsamples.items_end(); ++js) {
-        Sample s;
-        s.timestamp = js->get_or("t", 0.0);
-        const json::ArenaValue& jv = (*js)["v"];
-        // Parsed member order is document order; profile documents are
-        // written from sorted maps, so appending at end is the common
-        // case and emplace_hint degrades gracefully otherwise.
-        for (const auto* m = jv.members_begin(); m != jv.members_end(); ++m) {
-          s.values.emplace_hint(s.values.end(), std::string(m->key),
-                                m->value.as_double());
-        }
-        ts.samples.push_back(std::move(s));
-      }
-      p.series.push_back(std::move(ts));
-    }
-  }
-  if (v.contains("totals")) {
-    const json::ArenaValue& jt = v["totals"];
-    for (const auto* m = jt.members_begin(); m != jt.members_end(); ++m) {
-      p.totals.emplace_hint(p.totals.end(), std::string(m->key),
-                            m->value.as_double());
-    }
-  }
-  if (v.contains("derived")) {
-    const json::ArenaValue& jd = v["derived"];
-    for (const auto* m = jd.members_begin(); m != jd.members_end(); ++m) {
-      p.derived.emplace_hint(p.derived.end(), std::string(m->key),
-                             m->value.as_double());
     }
   }
   return p;

@@ -16,10 +16,6 @@
 
 #include "json/json.hpp"
 
-namespace synapse::json {
-class ArenaValue;
-}
-
 namespace synapse::sys {
 class Blob;
 }
@@ -32,7 +28,7 @@ class DeltaTable;
 /// Values are cumulative-so-far where that makes sense (bytes, cycles)
 /// and instantaneous otherwise (resident memory, thread count); the
 /// watcher decides, the emulator consumes per-sample *deltas* computed by
-/// `Profile::sample_deltas`.
+/// `Profile::delta_table`.
 struct Sample {
   double timestamp = 0.0;  ///< wall-clock seconds (epoch)
   std::map<std::string, double> values;
@@ -115,7 +111,7 @@ struct SystemInfo {
 
 /// True for metrics that are instantaneous observations (resident
 /// memory, thread count, ...) rather than cumulative counters: deltas
-/// make no sense for them, so sample_deltas() propagates the
+/// make no sense for them, so delta_table() propagates the
 /// within-period maximum instead, and synthetic-profile builders must
 /// write absolute values rather than running sums.
 bool is_instantaneous_metric(std::string_view metric);
@@ -159,35 +155,33 @@ class Profile {
   size_t sample_count() const;
 
   /// Any series recorded variable-rate (adaptive scheduler)? Such
-  /// profiles bucket sample_deltas() on the recorded timestamps and
+  /// profiles bucket delta_table() on the recorded timestamps and
   /// replay paced by the recorded inter-sample gaps.
   bool variable_rate() const;
 
-  /// Merge all watcher series into one ordered list of per-period
-  /// consumption deltas — the input to the emulator. Cumulative metrics
-  /// are differenced; instantaneous metrics (listed internally) carry
-  /// their max within the period. For fixed-rate profiles, periods are
-  /// formed on the union of all watcher timestamps, rounded to the
-  /// sampling period, preserving the recorded order across resource
-  /// types (paper Fig. 2/3 semantics). For variable-rate profiles the
-  /// buckets are the recorded timestamps themselves (one bucket per
-  /// distinct instant across watchers) and each delta's duration is the
-  /// recorded gap to the previous bucket.
+  /// All watcher series merged into one ordered table of per-period
+  /// consumption deltas (delta_frame.hpp): the input to the emulator.
+  /// Cumulative metrics are differenced; instantaneous metrics (listed
+  /// internally) carry their max within the period. For fixed-rate
+  /// profiles, periods are formed on the union of all watcher
+  /// timestamps, rounded to the sampling period, preserving the
+  /// recorded order across resource types (paper Fig. 2/3 semantics).
+  /// For variable-rate profiles the rows are the recorded timestamps
+  /// themselves (one row per distinct instant across watchers) and each
+  /// row's duration is the recorded gap to the previous row.
   ///
-  /// Profiles decoded via from_binary() keep their SYNB payload and take
-  /// a columnar fast path here (flat array walk, bit-identical result).
-  /// The payload is trusted while `series` still matches its shape and
-  /// timestamps; code that edits sample *values* of a decoded profile in
-  /// place must call drop_binary_payload() first.
-  std::vector<SampleDelta> sample_deltas() const;
-
-  /// sample_deltas() compiled into the columnar DeltaTable
-  /// (delta_frame.hpp): same rows, same durations, cell (lane, row)
-  /// bit-identical to the map entry, presence mirroring key existence.
-  /// Profiles with a retained SYNB payload build the table straight
-  /// from the columns (no per-sample maps); others re-shape the map
-  /// walk's output. This is what the replay engine's frame path feeds.
+  /// One kernel computes it (binary_codec.hpp, delta_table_from_columns)
+  /// from SYNB columns. Profiles decoded via from_binary() feed it their
+  /// retained payload; all others are encoded first. The payload is
+  /// trusted while `series` still matches its shape and timestamps, so
+  /// code that edits sample *values* of a decoded profile in place must
+  /// call drop_binary_payload() first.
   DeltaTable delta_table() const;
+
+  /// delta_table() unboxed row by row into SampleDelta maps (present
+  /// lanes become keys): the per-row shape legacy atoms consume, for
+  /// callers that want all rows at once. Replay reads delta_table().
+  std::vector<SampleDelta> sample_deltas() const;
 
   /// Compute derived metrics (efficiency, utilization, FLOP/s) from
   /// totals + system info, following paper section 4.3 formulas.
@@ -197,13 +191,9 @@ class Profile {
   json::Value to_json() const;
   static Profile from_json(const json::Value& v);
 
-  /// from_json against the arena DOM (json/arena.hpp) — same shape, no
-  /// per-node heap traffic on the parse side. Store backends use this
-  /// for JSON-format reads.
-  static Profile from_arena(const json::ArenaValue& v);
-
   /// SYNB binary columnar container (binary_codec.hpp). from_binary
-  /// retains the encoded payload so sample_deltas() can walk columns.
+  /// retains the encoded payload so delta_table() reads its columns
+  /// instead of encoding the profile again.
   std::string to_binary() const;
   static Profile from_binary(std::string data);
 
@@ -225,8 +215,8 @@ class Profile {
 
  private:
   /// SYNB blob this profile was decoded from, if any; shared so Profile
-  /// copies stay cheap-ish and keep the fast path (and, for mapped
-  /// blobs, the mapping) alive.
+  /// copies stay cheap-ish and keep the payload (and, for mapped
+  /// blobs, the mapping) alive for delta_table().
   std::shared_ptr<const sys::Blob> binary_;
 };
 

@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "docstore/docstore.hpp"
-#include "json/arena.hpp"
 #include "profile/binary_codec.hpp"
 #include "profile/cluster_backend.hpp"
 #include "sys/dir.hpp"
@@ -89,17 +88,6 @@ using storedetail::has_profile_suffix;
 using storedetail::sanitize;
 using storedetail::unique_tmp_suffix;
 
-/// Decode stored profile bytes in either format: SYNB by magic sniff,
-/// otherwise JSON through the arena parser (no per-node heap traffic;
-/// `arena` is reset and reused here so multi-file reads recycle slabs).
-Profile parse_profile_bytes(std::string&& data, json::Arena& arena) {
-  if (looks_like_binary_profile(data)) {
-    return Profile::from_binary(std::move(data));
-  }
-  arena.reset();
-  return Profile::from_arena(json::parse(data, arena));
-}
-
 /// Open one stored profile file as a shared read-only buffer. SYNB
 /// files are mmap-ed when possible (`prefer_mmap`, decided from the
 /// file suffix) so decode is zero-copy against the page cache; JSON
@@ -116,16 +104,15 @@ std::shared_ptr<const sys::Blob> load_profile_blob(const std::string& path,
   return std::make_shared<const sys::StringBlob>(std::move(*data));
 }
 
-/// parse_profile_bytes over a shared buffer: the SYNB path hands the
-/// buffer itself to the profile (zero-copy, keeps an mmap alive for the
-/// profile's lifetime), the JSON path parses out of it by view.
-Profile parse_profile_blob(std::shared_ptr<const sys::Blob> blob,
-                           json::Arena& arena) {
+/// Decode a stored profile in either format, SYNB by magic sniff. The
+/// SYNB path hands the buffer itself to the profile (zero-copy, keeps
+/// an mmap alive for the profile's lifetime); the JSON path parses out
+/// of it by view.
+Profile parse_profile_blob(std::shared_ptr<const sys::Blob> blob) {
   if (looks_like_binary_profile(blob->view())) {
     return Profile::from_binary_view(std::move(blob));
   }
-  arena.reset();
-  return Profile::from_arena(json::parse(blob->view(), arena));
+  return Profile::from_json(json::parse(blob->view()));
 }
 
 // --- memory ---------------------------------------------------------------
@@ -229,12 +216,11 @@ class FilesBackend : public StoreBackend {
   std::vector<Profile> read(const std::string& command,
                             const std::string& tkey) const override {
     std::vector<Profile> out;
-    json::Arena arena;
     for (const auto& name : matching_files(command, tkey)) {
       auto blob = load_profile_blob(directory_ + "/" + name,
                                     has_binary_profile_suffix(name));
       if (!blob) continue;  // racing remove()
-      Profile p = parse_profile_blob(std::move(blob), arena);
+      Profile p = parse_profile_blob(std::move(blob));
       // Sanitization can collide; verify the real identity.
       if (p.command == command && store_tags_key(p.tags) == tkey) {
         out.push_back(std::move(p));
@@ -328,7 +314,7 @@ class FilesBackend : public StoreBackend {
           e.created_at = info.created_at;
           e.format = "binary";
         } else {
-          const json::Value v = json::parse(std::string(data));
+          const json::Value v = json::parse(data);
           e.command = v.get_or("command", std::string());
           if (v.contains("tags")) {
             for (const auto& t : v["tags"].as_array()) {
@@ -360,7 +346,7 @@ class FilesBackend : public StoreBackend {
       return std::make_pair(std::move(info.command),
                             store_tags_key(info.tags));
     }
-    const json::Value v = json::parse(std::string(data));
+    const json::Value v = json::parse(data);
     std::vector<std::string> tags;
     if (v.contains("tags")) {
       for (const auto& t : v["tags"].as_array()) tags.push_back(t.as_string());

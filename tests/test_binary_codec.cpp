@@ -1,6 +1,7 @@
 // SYNB binary columnar container (profile/binary_codec.hpp): lossless
-// round trips across the scenario catalog with bit-identical replay
-// deltas, size bounds against compact JSON, and loud rejection of
+// round trips across the scenario catalog with replay deltas that
+// match the pinned map-walk tables (fixtures/delta_tables.golden) bit
+// for bit, size bounds against compact JSON, and loud rejection of
 // truncated/corrupt/foreign payloads.
 
 #include "profile/binary_codec.hpp"
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "delta_golden.hpp"
 #include "json/json.hpp"
 #include "profile/profile.hpp"
 #include "workload/scenario.hpp"
@@ -24,98 +26,17 @@ using profile::CodecError;
 namespace {
 
 /// Catalog profiles plus hand-built edge cases (empty profile, series
-/// with holes so presence bitmaps are exercised, negative/huge values).
+/// with holes so presence bitmaps are exercised, negative/huge values,
+/// and an adaptively recorded profile last).
 std::vector<profile::Profile> fixture_profiles() {
   std::vector<profile::Profile> out;
   for (const auto& spec : workload::builtin_scenarios()) {
     out.push_back(spec.make_profile());
   }
-
-  profile::Profile empty;
-  empty.command = "empty";
-  out.push_back(std::move(empty));
-
-  profile::Profile holes;
-  holes.command = "holes \"quoted\" \xc3\xa9";  // header escaping
-  holes.tags = {"b-tag", "a-tag"};
-  holes.sample_rate_hz = 7.5;
-  holes.created_at = 1.5e9;
-  holes.totals["cycles_used"] = 1e12;
-  holes.derived["flops_per_cycle"] = 0.25;
-  profile::TimeSeries ts;
-  ts.watcher = "cpu";
-  ts.sample_rate_hz = 5.0;
-  for (int i = 0; i < 10; ++i) {
-    profile::Sample s;
-    s.timestamp = 100.0 + 0.2 * i;
-    s.values["cycles_used"] = 1e9 + i;           // dense
-    if (i % 3 == 0) s.values["io_wait"] = -0.5;  // sparse, negative
-    if (i == 7) s.values["rare"] = 1e300;        // near-max double
-    ts.samples.push_back(std::move(s));
+  for (auto& p : delta_golden::codec_edge_profiles()) {
+    out.push_back(std::move(p));
   }
-  holes.series.push_back(std::move(ts));
-  profile::TimeSeries none;
-  none.watcher = "idle";
-  none.sample_rate_hz = 1.0;
-  holes.series.push_back(std::move(none));
-  out.push_back(std::move(holes));
-
-  // Adaptively recorded profile: variable-rate series with gate
-  // metadata and a burst-idle-burst timestamp trajectory, mixed with a
-  // fixed-rate sibling. Exercises the v2 per-series flags byte and the
-  // timestamp-bucketing parity path.
-  profile::Profile gated;
-  gated.command = "gated";
-  gated.sample_rate_hz = 100.0;
-  profile::TimeSeries vcpu;
-  vcpu.watcher = "cpu";
-  vcpu.sample_rate_hz = 100.0;
-  vcpu.variable_rate = true;
-  vcpu.gate.floor_hz = 2.0;
-  vcpu.gate.burst_hz = 100.0;
-  vcpu.gate.open_threshold = 0.5;
-  vcpu.gate.close_hold_s = 0.25;
-  const double trajectory[] = {5.00, 5.01, 5.02, 5.03, 7.50, 7.51, 7.52};
-  double cycles = 0.0;
-  for (const double t : trajectory) {
-    profile::Sample s;
-    s.timestamp = t;
-    cycles += 1e6;
-    s.values["cycles_used"] = cycles;
-    vcpu.samples.push_back(std::move(s));
-  }
-  gated.series.push_back(std::move(vcpu));
-  profile::TimeSeries fmem;
-  fmem.watcher = "mem";  // fixed-rate sibling: flags byte stays 0
-  fmem.sample_rate_hz = 10.0;
-  for (int i = 0; i < 4; ++i) {
-    profile::Sample s;
-    s.timestamp = 5.0 + 0.1 * i;
-    s.values["mem_resident"] = 4096.0 * (i + 1);
-    fmem.samples.push_back(std::move(s));
-  }
-  gated.series.push_back(std::move(fmem));
-  out.push_back(std::move(gated));
   return out;
-}
-
-/// Replay-input equality, bitwise: same buckets, same metrics, same
-/// double bits (the decoded fast path must be indistinguishable from
-/// the map walk).
-void expect_same_deltas(const std::vector<profile::SampleDelta>& a,
-                        const std::vector<profile::SampleDelta>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].duration, b[i].duration) << "bucket " << i;
-    ASSERT_EQ(a[i].deltas.size(), b[i].deltas.size()) << "bucket " << i;
-    auto it_a = a[i].deltas.begin();
-    auto it_b = b[i].deltas.begin();
-    for (; it_a != a[i].deltas.end(); ++it_a, ++it_b) {
-      EXPECT_EQ(it_a->first, it_b->first) << "bucket " << i;
-      EXPECT_EQ(it_a->second, it_b->second)
-          << "bucket " << i << " metric " << it_a->first;
-    }
-  }
 }
 
 }  // namespace
@@ -134,12 +55,18 @@ TEST(BinaryCodec, RoundTripIsLosslessAcrossCatalog) {
 }
 
 TEST(BinaryCodec, ColumnarDeltasMatchMapWalkBitForBit) {
-  for (const auto& p : fixture_profiles()) {
+  // The retired map walk's tables are pinned in
+  // fixtures/delta_tables.golden; the kernel over a decoded payload's
+  // columns must reproduce them.
+  for (const auto& g : delta_golden::golden_profiles()) {
     const profile::Profile decoded =
-        profile::Profile::from_binary(p.to_binary());
+        profile::Profile::from_binary(g.profile.to_binary());
     ASSERT_TRUE(decoded.has_binary_payload());
-    // `p` has no payload -> map walk; `decoded` -> columnar fast path.
-    expect_same_deltas(decoded.sample_deltas(), p.sample_deltas());
+    delta_golden::expect_table_matches_golden(g.label, decoded.delta_table());
+    if (g.cells) {
+      delta_golden::expect_deltas_match_golden(g.label,
+                                               decoded.sample_deltas());
+    }
   }
 }
 
@@ -162,11 +89,16 @@ TEST(BinaryCodec, V2CarriesVariableRateAndGateMetadata) {
 
 TEST(BinaryCodec, DropBinaryPayloadFallsBackToMapWalk) {
   const profile::Profile src = fixture_profiles().back();
+  ASSERT_EQ(src.command, "gated");
   profile::Profile decoded = profile::Profile::from_binary(src.to_binary());
-  const auto fast = decoded.sample_deltas();
+  delta_golden::expect_deltas_match_golden("codec:gated",
+                                           decoded.sample_deltas());
   decoded.drop_binary_payload();
   EXPECT_FALSE(decoded.has_binary_payload());
-  expect_same_deltas(decoded.sample_deltas(), fast);
+  delta_golden::expect_deltas_match_golden("codec:gated",
+                                           decoded.sample_deltas());
+  delta_golden::expect_table_matches_golden("codec:gated",
+                                            decoded.delta_table());
 }
 
 TEST(BinaryCodec, BinaryIsAtMostHalfOfCompactJsonOnCatalog) {

@@ -3,8 +3,49 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace json = synapse::json;
+
+namespace {
+
+/// Documents covering every value kind, escapes, UTF-8, nesting,
+/// duplicate keys and number edge cases; each must survive a
+/// parse/dump/parse round trip.
+const std::vector<std::string>& fixtures() {
+  static const std::vector<std::string> docs = {
+      "null",
+      "true",
+      "false",
+      "42",
+      "-3.25",
+      "1e6",
+      "\"hi\"",
+      R"({"a": [1, 2, {"b": "c"}], "d": {"e": null}})",
+      R"("a\"b\\c\nd\teA")",
+      R"("é")",
+      R"("€")",
+      R"("Aé€")",
+      R"({"s": "x", "n": 2.5, "b": true})",
+      R"({"arr":[1,2.5,"s",true,null],"nested":{"k":"v"},"z":-7})",
+      R"({"a":[1,{"b":[]},{}],"c":"d"})",
+      "[]",
+      "{}",
+      "[[[[[1]]]]]",
+      R"({"dup":1,"dup":2,"dup":3})",
+      R"({"x":0.0,"y":1e-12,"z":1e15,"w":-2.5e9})",
+      R"("az")",
+      R"("\u00e9")",
+      R"("A\u00e9\u20ac")",
+      R"("a\u0000z")",
+  };
+  return docs;
+}
+
+}  // namespace
 
 TEST(Json, ParseScalars) {
   EXPECT_TRUE(json::parse("null").is_null());
@@ -142,3 +183,86 @@ INSTANTIATE_TEST_SUITE_P(
     Magnitudes, JsonNumberRoundTrip,
     ::testing::Values(0.0, 1.0, -1.0, 0.1, 1e-12, 1e15, -2.5e9, 3.14159265358979,
                       1234567890123.0, 6.02e23));
+
+TEST(Json, FixtureDocumentsRoundTrip) {
+  for (const auto& doc : fixtures()) {
+    const json::Value v = json::parse(doc);
+    const std::string text = json::dump(v);
+    // Value equality plus byte-identical re-dumps pin ordering and
+    // number formatting too.
+    EXPECT_TRUE(json::parse(text) == v) << doc;
+    EXPECT_EQ(json::dump(json::parse(text)), text) << doc;
+  }
+  const json::Value nested = json::parse("[[[[[1]]]]]");
+  EXPECT_DOUBLE_EQ(nested.at(0).at(0).at(0).at(0).at(0).as_double(), 1.0);
+  const json::Value nums =
+      json::parse(R"({"x":0.0,"y":1e-12,"z":1e15,"w":-2.5e9})");
+  EXPECT_EQ(nums["x"].as_double(), 0.0);
+  EXPECT_EQ(nums["y"].as_double(), 1e-12);
+  EXPECT_EQ(nums["z"].as_double(), 1e15);
+  EXPECT_EQ(nums["w"].as_double(), -2.5e9);
+  EXPECT_EQ(json::parse(R"("a\u0000z")").as_string(), std::string("a\0z", 3));
+}
+
+TEST(Json, RandomDocumentsRoundTrip) {
+  // Seeded generator of flat objects over every value kind: dump, then
+  // the reparse must equal the original DOM.
+  std::mt19937 rng(20260807);
+  for (int trial = 0; trial < 200; ++trial) {
+    json::Object o;
+    const int n = std::uniform_int_distribution<int>(0, 6)(rng);
+    for (int i = 0; i < n; ++i) {
+      const std::string key = "k" + std::to_string(i);
+      switch (std::uniform_int_distribution<int>(0, 4)(rng)) {
+        case 0: o[key] = nullptr; break;
+        case 1: o[key] = (rng() & 1) == 0; break;
+        case 2:
+          o[key] = std::uniform_real_distribution<double>(-1e9, 1e9)(rng);
+          break;
+        case 3: o[key] = "s\t\"\\" + std::to_string(rng() % 1000); break;
+        default: {
+          json::Array a;
+          const int len = std::uniform_int_distribution<int>(0, 5)(rng);
+          for (int k = 0; k < len; ++k) a.push_back(k * 0.5);
+          o[key] = std::move(a);
+        }
+      }
+    }
+    const json::Value v(std::move(o));
+    const std::string doc = json::dump(v);
+    EXPECT_TRUE(json::parse(doc) == v) << doc;
+  }
+}
+
+TEST(Json, MalformedDocumentsReportLineAndColumn) {
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"", "parse error at line 1:1: invalid value"},
+      {"{", "parse error at line 1:2: unexpected end of input"},
+      {"[1,]", "parse error at line 1:4: invalid value"},
+      {"{\"a\":1} trailing", "parse error at line 1:9: trailing characters"},
+      {"tru", "parse error at line 1:1: invalid literal"},
+      {"'single'", "parse error at line 1:1: invalid value"},
+      {"{\n  \"a\": ,\n}", "parse error at line 2:8: invalid value"},
+  };
+  for (const auto& [doc, message] : bad) {
+    try {
+      json::parse(doc);
+      ADD_FAILURE() << "accepted: " << doc;
+    } catch (const json::JsonError& e) {
+      EXPECT_EQ(std::string(e.what()), message) << doc;
+    }
+  }
+}
+
+TEST(Json, DuplicateKeysLastWins) {
+  const json::Value v = json::parse(R"({"dup":1,"dup":2,"dup":3})");
+  EXPECT_EQ(v.size(), 1u);
+  EXPECT_DOUBLE_EQ(v["dup"].as_double(), 3.0);
+}
+
+TEST(Json, ParsesFromAView) {
+  // The view need not be NUL-terminated or span a whole string.
+  const std::string text = R"(xx{"k":[1,2]}yy)";
+  const json::Value v = json::parse(std::string_view(text).substr(2, 11));
+  EXPECT_EQ(v["k"].size(), 2u);
+}

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <utility>
+
+#include "json/json.hpp"
+#include "profile/binary_codec.hpp"
 #include "profile/metrics.hpp"
 
+namespace json = synapse::json;
 namespace profile = synapse::profile;
 namespace m = synapse::metrics;
 
@@ -355,4 +362,74 @@ TEST(Profile, SampleDeltasBucketAtFastestSeriesRate) {
   double sum = 0.0;
   for (const auto& d : deltas) sum += d.get(m::kCyclesUsed);
   EXPECT_NEAR(sum, 500.0, 1e-9);
+}
+
+namespace {
+
+/// `text` with its one occurrence of `from` replaced by `to`.
+std::string replace_once(std::string text, const std::string& from,
+                         const std::string& to) {
+  const size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+/// A SYNB blob with its JSON header edited: "SYNB" | u32 version |
+/// u32 header_len | header, with header_len rewritten to match.
+std::string edit_binary_header(const std::string& blob,
+                               const std::string& from,
+                               const std::string& to) {
+  uint32_t len = 0;
+  for (int i = 0; i < 4; ++i) {
+    len |= static_cast<uint32_t>(static_cast<unsigned char>(blob[8 + i]))
+           << (8 * i);
+  }
+  const std::string header = replace_once(blob.substr(12, len), from, to);
+  std::string out = blob.substr(0, 8);
+  const auto n = static_cast<uint32_t>(header.size());
+  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(n >> (8 * i)));
+  return out + header + blob.substr(12 + len);
+}
+
+}  // namespace
+
+TEST(Profile, OutOfRangeSystemCountsAreRejected) {
+  // num_cores and total_memory_bytes are integers stored as doubles;
+  // converting an out-of-range double is undefined behaviour, so the
+  // reader must refuse it. SYNB headers go through the same reader and
+  // surface the error as CodecError.
+  profile::Profile p = make_profile();
+  p.system.num_cores = 4;
+  p.system.total_memory_bytes = 1024;
+  const std::string doc = json::dump(p.to_json());
+  const std::string blob = p.to_binary();
+  const std::pair<std::string, std::string> fields[] = {
+      {"num_cores", "4"}, {"total_memory_bytes", "1024"}};
+  for (const auto& [key, good] : fields) {
+    const std::string from = "\"" + key + "\":" + good;
+    for (const std::string bad : {"-1", "1e300", "1e999", "-1e999"}) {
+      const std::string to = "\"" + key + "\":" + bad;
+      SCOPED_TRACE(to);
+      EXPECT_THROW(profile::Profile::from_json(
+                       json::parse(replace_once(doc, from, to))),
+                   json::JsonError);
+      EXPECT_THROW(
+          profile::Profile::from_binary(edit_binary_header(blob, from, to)),
+          profile::CodecError);
+    }
+  }
+  // JSON text cannot spell NaN, but a DOM built in code can hold one.
+  json::Value system = p.system.to_json();
+  system["num_cores"] = std::nan("");
+  EXPECT_THROW(profile::SystemInfo::from_json(system), json::JsonError);
+
+  // The edges of the ranges still read back.
+  system["num_cores"] = 2147483647.0;
+  system["total_memory_bytes"] = 18446744073709549568.0;  // 2^64 - 2^11
+  const profile::SystemInfo edge = profile::SystemInfo::from_json(system);
+  EXPECT_EQ(edge.num_cores, 2147483647);
+  EXPECT_EQ(edge.total_memory_bytes, 18446744073709549568ull);
+  system["total_memory_bytes"] = 18446744073709551616.0;  // 2^64
+  EXPECT_THROW(profile::SystemInfo::from_json(system), json::JsonError);
 }

@@ -714,6 +714,57 @@ TEST_P(ProfileStoreConvert, BinaryStoreConvertsBackToJson) {
 INSTANTIATE_TEST_SUITE_P(Backends, ProfileStoreConvert,
                          ::testing::Values("files", "docstore"));
 
+/// JSON-format stores read profiles back through json::parse and
+/// Profile::from_json: what comes back must dump to exactly the JSON
+/// that was put. Reopened cold so the read parses, not the cache.
+class ProfileStoreJsonRoundTrip
+    : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ProfileStoreJsonRoundTrip, ReadBackDumpsIdentically) {
+  const std::string backend = GetParam();
+  const std::string dir = "/tmp/synapse_store_json_rt_" + backend;
+  std::system(("rm -rf " + dir).c_str());
+  profile::Profile original = make_series_profile("json-rt", 5, 3.0);
+  original.tags = {"fmt", "b-tag"};
+  original.system.hostname = "host \"quoted\"";
+  original.system.num_cores = 8;
+  original.system.total_memory_bytes = 17179869184ull;
+  original.derived["efficiency"] = 0.125;
+  profile::TimeSeries io;
+  io.watcher = "io";
+  io.sample_rate_hz = 50.0;
+  io.variable_rate = true;
+  io.gate.floor_hz = 2.0;
+  io.gate.burst_hz = 50.0;
+  for (const double t : {3.0, 3.02, 3.5}) {
+    profile::Sample s;
+    s.timestamp = t;
+    s.values[std::string(m::kBytesWritten)] = 1e-7 + t;
+    io.samples.push_back(std::move(s));
+  }
+  original.series.push_back(std::move(io));
+
+  profile::ProfileStoreOptions options;
+  options.format = "json";
+  {
+    profile::ProfileStore store(backend, dir, options);
+    store.put(original);
+    store.flush();
+  }
+  {
+    profile::ProfileStore store(backend, dir);
+    EXPECT_EQ(store.format(), "json");
+    const auto found = store.find_latest("json-rt", original.tags);
+    ASSERT_TRUE(found.has_value());
+    EXPECT_FALSE(found->has_binary_payload());
+    expect_equal_profiles(*found, original);
+  }
+  std::system(("rm -rf " + dir).c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, ProfileStoreJsonRoundTrip,
+                         ::testing::Values("files", "docstore"));
+
 TEST(ProfileStoreFormat, BinaryStoresAreSmallerOnDisk) {
   // Same stream, both formats: the files backend's on-disk footprint
   // (list() reports the encoded byte sizes) must at most halve.

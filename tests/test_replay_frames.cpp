@@ -1,5 +1,6 @@
 // The compiled replay plan (emulator/replay_plan.hpp +
-// profile/delta_frame.hpp): columnar DeltaTable construction, lane
+// profile/delta_frame.hpp): columnar DeltaTable construction against
+// the pinned map-walk tables (fixtures/delta_tables.golden), lane
 // interning, and — the load-bearing property — non-timing AtomStats
 // bit-identical to the golden fixtures recorded from the retired
 // map-based SampleDelta feed (fixtures/replay_atom_stats.golden),
@@ -21,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "delta_golden.hpp"
 #include "emulator/emulator.hpp"
 #include "emulator/replay_engine.hpp"
 #include "emulator/replay_plan.hpp"
@@ -61,66 +63,8 @@ emulator::EmulatorOptions tmp_options() {
   return opts;
 }
 
-/// Fixed-rate profile with compute, memory and storage consumption.
-profile::Profile fixed_profile(size_t samples) {
-  profile::Profile p;
-  p.command = "frames-fixed";
-  p.sample_rate_hz = 10.0;
-  profile::TimeSeries trace;
-  trace.watcher = "trace";
-  double cycles = 0, alloc = 0, bytes = 0;
-  for (size_t i = 0; i < samples; ++i) {
-    profile::Sample s;
-    s.timestamp = 100.0 + static_cast<double>(i) * 0.1;
-    cycles += 1e6 + static_cast<double>(i);
-    alloc += 128 * 1024;
-    bytes += 32 * 1024;
-    s.set(m::kCyclesUsed, cycles);
-    s.set(m::kMemAllocated, alloc);
-    s.set(m::kBytesWritten, bytes);
-    trace.samples.push_back(std::move(s));
-  }
-  p.series.push_back(trace);
-  return p;
-}
-
-/// Variable-rate (adaptively gated) profile: io samples at explicit
-/// offsets, plus a second fixed-cadence series so the delta pipeline
-/// exercises the timestamp-union bucketing.
-profile::Profile variable_profile() {
-  profile::Profile p;
-  p.command = "frames-variable";
-  p.sample_rate_hz = 100.0;
-
-  profile::TimeSeries io;
-  io.watcher = "io";
-  io.sample_rate_hz = 100.0;
-  io.variable_rate = true;
-  double b = 0;
-  for (const double off : {0.0, 0.01, 0.02, 0.3, 0.31, 0.6}) {
-    profile::Sample s;
-    s.timestamp = 100.0 + off;
-    b += 4096;
-    s.set(m::kBytesWritten, b);
-    io.samples.push_back(std::move(s));
-  }
-  p.series.push_back(io);
-
-  profile::TimeSeries trace;
-  trace.watcher = "trace";
-  trace.sample_rate_hz = 100.0;
-  trace.variable_rate = true;
-  double cycles = 0;
-  for (const double off : {0.0, 0.15, 0.3, 0.45, 0.6}) {
-    profile::Sample s;
-    s.timestamp = 100.0 + off;
-    cycles += 5e5;
-    s.set(m::kCyclesUsed, cycles);
-    trace.samples.push_back(std::move(s));
-  }
-  p.series.push_back(trace);
-  return p;
-}
+using delta_golden::fixed_profile;
+using delta_golden::variable_profile;
 
 void expect_stats_parity(const atoms::AtomStats& a, const atoms::AtomStats& b,
                          const std::string& label) {
@@ -260,6 +204,15 @@ class LockstepAtom final : public atoms::Atom {
   LockstepProbe* probe_;
 };
 
+/// `p` without and with a retained SYNB payload: delta_table() runs
+/// the kernel over a fresh encode in the first case and over the
+/// payload's columns in the second; both must reproduce the fixture.
+std::vector<std::pair<std::string, profile::Profile>> both_routes(
+    const profile::Profile& p) {
+  return {{"no payload", p},
+          {"payload", profile::Profile::from_binary(p.to_binary())}};
+}
+
 }  // namespace
 
 // --- DeltaTable construction ------------------------------------------------
@@ -274,49 +227,51 @@ TEST(DeltaTable, LaneTableInternsSortedNames) {
   EXPECT_EQ(lanes.name(1), "beta");
 }
 
-TEST(DeltaTable, UnboxMatchesSampleDeltasOnFixedRateProfile) {
-  const auto p = fixed_profile(6);
-  const auto deltas = p.sample_deltas();
-  const auto table = p.delta_table();
-  ASSERT_EQ(table.rows(), deltas.size());
-  for (size_t i = 0; i < deltas.size(); ++i) {
-    EXPECT_EQ(table.duration(i), deltas[i].duration) << i;
-    const profile::SampleDelta row = table.unbox(i);
-    EXPECT_EQ(row.deltas, deltas[i].deltas) << i;
-    // Lane reads agree with map lookups, including absent keys (0.0).
-    for (const auto& [name, value] : deltas[i].deltas) {
-      EXPECT_EQ(table.get(table.lanes().id(name), i), value) << name;
+TEST(DeltaTable, MatchesGoldenFixtureWithAndWithoutPayload) {
+  size_t checked = 0;
+  for (const auto& g : delta_golden::golden_profiles()) {
+    for (const auto& [route, p] : both_routes(g.profile)) {
+      SCOPED_TRACE(g.label + " / " + route);
+      EXPECT_EQ(p.has_binary_payload(), route == "payload");
+      delta_golden::expect_table_matches_golden(g.label, p.delta_table());
     }
+    ++checked;
   }
-  EXPECT_EQ(table.get(profile::LaneTable::kNoLane, 0), 0.0);
+  // Every record in the fixture is exercised.
+  EXPECT_EQ(checked, delta_golden::golden_tables().size());
+}
+
+TEST(DeltaTable, UnboxMatchesSampleDeltasOnFixedRateProfile) {
+  for (const auto& [route, p] : both_routes(fixed_profile(6))) {
+    SCOPED_TRACE(route);
+    const auto table = p.delta_table();
+    delta_golden::expect_table_matches_golden("fixed", table);
+    delta_golden::expect_deltas_match_golden("fixed", p.sample_deltas());
+    for (size_t i = 0; i < table.rows(); ++i) {
+      // Lane reads agree with the unboxed map, including absent keys.
+      for (const auto& [name, value] : table.unbox(i).deltas) {
+        EXPECT_EQ(table.get(table.lanes().id(name), i), value) << name;
+      }
+    }
+    EXPECT_EQ(table.get(profile::LaneTable::kNoLane, 0), 0.0);
+  }
 }
 
 TEST(DeltaTable, UnboxMatchesSampleDeltasOnBinaryPayload) {
-  // from_binary keeps the SYNB payload, so delta_table() takes the
-  // zero-copy columnar route; cells must still match the map walk.
-  auto p = profile::Profile::from_binary(fixed_profile(6).to_binary());
+  // from_binary keeps the SYNB payload, so delta_table() runs the
+  // kernel straight over the retained columns.
+  auto p = profile::Profile::from_binary(fixed_profile(10).to_binary());
   ASSERT_TRUE(p.has_binary_payload());
-  const auto deltas = p.sample_deltas();
-  const auto table = p.delta_table();
-  ASSERT_EQ(table.rows(), deltas.size());
-  for (size_t i = 0; i < deltas.size(); ++i) {
-    EXPECT_EQ(table.duration(i), deltas[i].duration) << i;
-    EXPECT_EQ(table.unbox(i).deltas, deltas[i].deltas) << i;
-  }
+  delta_golden::expect_table_matches_golden("binary", p.delta_table());
+  delta_golden::expect_deltas_match_golden("binary", p.sample_deltas());
 }
 
 TEST(DeltaTable, UnboxMatchesSampleDeltasOnVariableRateProfile) {
-  for (const bool binary : {false, true}) {
-    auto p = variable_profile();
-    if (binary) p = profile::Profile::from_binary(p.to_binary());
+  for (const auto& [route, p] : both_routes(variable_profile())) {
+    SCOPED_TRACE(route);
     ASSERT_TRUE(p.variable_rate());
-    const auto deltas = p.sample_deltas();
-    const auto table = p.delta_table();
-    ASSERT_EQ(table.rows(), deltas.size()) << "binary=" << binary;
-    for (size_t i = 0; i < deltas.size(); ++i) {
-      EXPECT_EQ(table.duration(i), deltas[i].duration) << i;
-      EXPECT_EQ(table.unbox(i).deltas, deltas[i].deltas) << i;
-    }
+    delta_golden::expect_table_matches_golden("variable", p.delta_table());
+    delta_golden::expect_deltas_match_golden("variable", p.sample_deltas());
   }
 }
 
