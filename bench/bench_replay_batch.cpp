@@ -10,16 +10,10 @@
 // amortize; the expectation (asserted by CI eyeballs, not exit codes)
 // is batch >= 8 at least matching single mode.
 //
-// A second, decode-bound section replays the same profile out of a
-// files-backed ProfileStore written once as JSON and once as SYNB
-// binary: the timed path is store read (parse/decode) + delta_table
-// (what the replay plan compiles) + the replay itself, so the binary
-// codec's whole-pipeline win ("vs json" on the decode columns) is
-// measured where it matters.
-//
-// A third section times the hot-cache lookup path: cold find_latest
-// (read + decode) vs repeated find_latest / find_latest_shared hits on
-// the store's decoded-profile cache — the repeated-emulation loop.
+// A second section times the hot-cache lookup path out of a
+// files-backed ProfileStore: cold find_latest (read + decode) vs
+// repeated find_latest / find_latest_shared hits on the store's
+// decoded-profile cache — the repeated-emulation loop.
 //
 // Usage: bench_replay_batch [--smoke] [--json PATH] [N]
 //   --smoke      tiny sample count (CI smoke run)
@@ -32,7 +26,6 @@
 
 #include "bench_util.hpp"
 #include "emulator/replay_engine.hpp"
-#include "profile/delta_frame.hpp"
 #include "profile/metrics.hpp"
 #include "profile/profile_store.hpp"
 #include "sys/clock.hpp"
@@ -119,75 +112,6 @@ void dispatch_bound_section(size_t samples) {
   }
 }
 
-/// JSON-vs-binary replay out of a files store: read + delta_table +
-/// replay per format. The decode columns (read + deltas) are where the
-/// codec shows; the replay column is format-independent atom work.
-void store_backed_section(size_t samples) {
-  const std::string dir = "/tmp/synapse_bench_replay_store";
-  const profile::Profile src = make_dispatch_bound_profile(samples);
-
-  bench::heading("Store-backed replay — files backend, " +
-                 std::to_string(samples) + " samples per series");
-  bench::row("%-8s %10s %10s %10s %10s  %s", "format", "read", "deltas",
-             "replay", "total", "decode vs json");
-
-  double json_decode_s = 0.0;
-  for (const std::string format : {"json", "binary"}) {
-    std::system(("rm -rf " + dir).c_str());
-    {
-      profile::ProfileStoreOptions options;
-      options.backend = "files";
-      options.directory = dir;
-      options.format = format;
-      profile::ProfileStore store(std::move(options));
-      store.put(src);
-      store.flush();
-    }
-    profile::ProfileStoreOptions options;
-    options.backend = "files";
-    options.directory = dir;
-    profile::ProfileStore store(std::move(options));
-
-    sys::Stopwatch w;
-    const auto stored = store.find_latest(src.command);
-    const double read_s = w.elapsed();
-    if (!stored) {
-      bench::row("!! %s profile did not round-trip through the store",
-                 format.c_str());
-      continue;
-    }
-    w.reset();
-    const profile::DeltaTable table = stored->delta_table();
-    const double deltas_s = w.elapsed();
-    (void)table;
-
-    emulator::EmulatorOptions opts = bench::emu_options();
-    opts.atom_set = {"compute", "memory", "storage"};
-    opts.replay_batch = 8;
-    emulator::ReplayEngine engine(opts);
-    w.reset();
-    engine.replay(*stored);
-    const double replay_s = w.elapsed();
-
-    const double decode_s = read_s + deltas_s;
-    if (format == "json") json_decode_s = decode_s;
-    std::string vs_json = "-";
-    if (format == "binary" && json_decode_s > 0.0) {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.1fx", json_decode_s / decode_s);
-      vs_json = buf;
-    }
-    bench::row("%-8s %9.4fs %9.4fs %9.4fs %9.4fs  %s", format.c_str(),
-               read_s, deltas_s, replay_s, read_s + deltas_s + replay_s,
-               vs_json.c_str());
-    const std::string section = "store/" + format;
-    bench::results().record(section, "read_s", read_s, "s");
-    bench::results().record(section, "deltas_s", deltas_s, "s");
-    bench::results().record(section, "replay_s", replay_s, "s");
-  }
-  std::system(("rm -rf " + dir).c_str());
-}
-
 /// Hot-cache replay: the first find_latest pays the full read + decode;
 /// repeated lookups of the same workload hit the store's decoded-profile
 /// cache, and find_latest_shared additionally skips the copy-out (one
@@ -201,7 +125,6 @@ void hot_cache_section(size_t samples) {
     profile::ProfileStoreOptions options;
     options.backend = "files";
     options.directory = dir;
-    options.format = "binary";
     profile::ProfileStore store(std::move(options));
     store.put(src);
     store.flush();
@@ -211,7 +134,7 @@ void hot_cache_section(size_t samples) {
   options.directory = dir;
   profile::ProfileStore store(std::move(options));
 
-  bench::heading("Hot-cache lookups — files/binary, " +
+  bench::heading("Hot-cache lookups — files backend, " +
                  std::to_string(samples) + " samples per series");
   bench::row("%-22s %12s %12s  %s", "path", "per lookup", "lookups/s",
              "vs cold");
@@ -287,7 +210,6 @@ int main(int argc, char** argv) {
   }
 
   dispatch_bound_section(samples);
-  store_backed_section(samples);
   hot_cache_section(samples);
   bench::results().write();
   return 0;

@@ -12,15 +12,13 @@
 //   flush_async- foreground cost of handing persistence to the worker
 //                (the drain is timed separately as "drain")
 //
-// Persistent backends run once per profile format (json, binary): the
-// encoder sits on the put path, so the SYNB-vs-JSON ingest speedup
-// shows up directly in the put/put_many columns ("vs json" is the
-// binary row's put_many rate over the json row's). The memory backend
-// stores Profile objects and never encodes, so it runs once.
+// Persistent backends encode every put as SYNB, so the encoder sits on
+// the put path; the memory backend stores Profile objects and never
+// encodes.
 //
 // A second section sweeps ProfileStoreOptions::threads (1/2/4/shared
-// pool) over a 16-shard binary files store and times the pool-parallel
-// cross-shard operations: put_many, the list() scan, and convert_all.
+// pool) over a 16-shard files store and times the pool-parallel
+// cross-shard operations: put_many and the list() scan.
 //
 // Usage: bench_store_ingest [--smoke] [--json PATH] [N]
 //   --smoke      tiny stream (CI smoke run)
@@ -72,12 +70,10 @@ struct IngestTiming {
 
 profile::ProfileStore make_store(const std::string& backend,
                                  const std::string& dir, size_t shards,
-                                 const std::string& format,
                                  size_t threads = 1) {
   profile::ProfileStoreOptions options;
   options.shards = shards;
   options.backend = backend;
-  options.format = format;
   options.threads = threads;
   if (backend == "memory") {
     return profile::ProfileStore(std::move(options));
@@ -88,13 +84,12 @@ profile::ProfileStore make_store(const std::string& backend,
 }
 
 IngestTiming run_one(const std::string& backend, size_t shards,
-                     const std::string& format,
                      const std::vector<profile::Profile>& stream) {
   const std::string dir = "/tmp/synapse_bench_ingest";
   IngestTiming t;
 
   {
-    auto store = make_store(backend, dir, shards, format);
+    auto store = make_store(backend, dir, shards);
     sys::Stopwatch w;
     for (const auto& p : stream) store.put(p);
     t.put_s = w.elapsed();
@@ -103,13 +98,13 @@ IngestTiming run_one(const std::string& backend, size_t shards,
     t.flush_s = w.elapsed();
   }
   {
-    auto store = make_store(backend, dir, shards, format);
+    auto store = make_store(backend, dir, shards);
     sys::Stopwatch w;
     store.put_many(stream);
     t.put_many_s = w.elapsed();
   }
   {
-    auto store = make_store(backend, dir, shards, format);
+    auto store = make_store(backend, dir, shards);
     sys::Stopwatch w;
     store.put_many(stream);
     store.flush_async();
@@ -122,7 +117,7 @@ IngestTiming run_one(const std::string& backend, size_t shards,
   return t;
 }
 
-/// Cross-shard parallelism sweep: the same binary files-backed stream,
+/// Cross-shard parallelism sweep: the same files-backed stream,
 /// shards fixed at 16, worker threads 1 (fully serial store), 2, 4 and
 /// 0 (the process-wide shared pool at its default width). put_many
 /// fans out one task per shard; list() is the full-store scan; the
@@ -132,24 +127,21 @@ void parallel_section(const std::vector<profile::Profile>& stream) {
   const double n = static_cast<double>(stream.size());
   constexpr size_t kShards = 16;
 
-  bench::heading("Cross-shard parallelism — files/binary, " +
+  bench::heading("Cross-shard parallelism — files backend, " +
                  std::to_string(kShards) + " shards");
-  bench::row("%-12s %10s %10s %12s %9s", "threads", "put_many", "scan",
-             "convert_all", "speedup");
+  bench::row("%-12s %10s %10s %9s", "threads", "put_many", "scan",
+             "speedup");
 
   double serial_put_many_s = 0.0;
   for (const size_t threads :
        {size_t{1}, size_t{2}, size_t{4}, size_t{0}}) {
-    auto store = make_store("files", dir, kShards, "binary", threads);
+    auto store = make_store("files", dir, kShards, threads);
     sys::Stopwatch w;
     store.put_many(stream);
     const double put_many_s = std::max(w.elapsed(), 1e-9);
     w.reset();
     const size_t listed = store.list().size();
     const double scan_s = std::max(w.elapsed(), 1e-9);
-    w.reset();
-    store.convert_all();
-    const double convert_s = std::max(w.elapsed(), 1e-9);
     if (listed != stream.size()) {
       bench::row("!! scan saw %zu of %zu profiles", listed, stream.size());
     }
@@ -158,14 +150,12 @@ void parallel_section(const std::vector<profile::Profile>& stream) {
     const std::string label =
         threads == 0 ? "pool(" + std::to_string(store.task_threads()) + ")"
                      : std::to_string(threads);
-    bench::row("%-12s %8.0f/s %9.3fs %11.3fs %8.1fx", label.c_str(),
-               n / put_many_s, scan_s, convert_s,
-               serial_put_many_s / put_many_s);
+    bench::row("%-12s %8.0f/s %9.3fs %8.1fx", label.c_str(),
+               n / put_many_s, scan_s, serial_put_many_s / put_many_s);
     const std::string section = "parallel/threads=" + label;
     bench::results().record(section, "put_many_per_s", n / put_many_s,
                             "1/s");
     bench::results().record(section, "scan_s", scan_s, "s");
-    bench::results().record(section, "convert_all_s", convert_s, "s");
   }
   std::system(("rm -rf " + dir).c_str());
 }
@@ -191,46 +181,27 @@ int main(int argc, char** argv) {
                  " profiles (" + std::to_string(reps) + " reps x " +
                  std::to_string(workload::builtin_scenarios().size()) +
                  " scenarios)");
-  bench::row("%-9s %-7s %6s %10s %10s %10s %12s %10s %8s %s", "backend",
-             "format", "shards", "put", "put_many", "flush", "async(fg)",
-             "drain", "speedup", "vs json");
+  bench::row("%-9s %6s %10s %10s %10s %12s %10s %8s", "backend", "shards",
+             "put", "put_many", "flush", "async(fg)", "drain", "speedup");
 
   const double n = static_cast<double>(stream.size());
   for (const std::string backend : {"memory", "docstore", "files"}) {
     for (const size_t shards : {size_t{1}, size_t{4}, size_t{16}}) {
-      double json_put_many_s = 0.0;
-      const std::vector<std::string> formats =
-          backend == "memory" ? std::vector<std::string>{"binary"}
-                              : std::vector<std::string>{"json", "binary"};
-      for (const std::string& format : formats) {
-        IngestTiming t = run_one(backend, shards, format, stream);
-        // Sub-microsecond phases (tiny smoke streams) would divide to inf.
-        t.put_s = std::max(t.put_s, 1e-9);
-        t.put_many_s = std::max(t.put_many_s, 1e-9);
-        if (format == "json") json_put_many_s = t.put_many_s;
-        std::string vs_json = "-";
-        if (format == "binary" && json_put_many_s > 0.0) {
-          char buf[32];
-          std::snprintf(buf, sizeof(buf), "%.1fx",
-                        json_put_many_s / t.put_many_s);
-          vs_json = buf;
-        }
-        const std::string shown =
-            backend == "memory" ? std::string("-") : format;
-        bench::row(
-            "%-9s %-7s %6zu %8.0f/s %8.0f/s %9.3fs %11.3fs %9.3fs %7.1fx %s",
-            backend.c_str(), shown.c_str(), shards, n / t.put_s,
-            n / t.put_many_s, t.flush_s, t.async_fg_s, t.drain_s,
-            t.put_s / t.put_many_s, vs_json.c_str());
-        const std::string section = backend + "/" + shown + "/shards=" +
-                                    std::to_string(shards);
-        bench::results().record(section, "put_per_s", n / t.put_s, "1/s");
-        bench::results().record(section, "put_many_per_s", n / t.put_many_s,
-                                "1/s");
-        bench::results().record(section, "flush_s", t.flush_s, "s");
-        bench::results().record(section, "async_fg_s", t.async_fg_s, "s");
-        bench::results().record(section, "drain_s", t.drain_s, "s");
-      }
+      IngestTiming t = run_one(backend, shards, stream);
+      // Sub-microsecond phases (tiny smoke streams) would divide to inf.
+      t.put_s = std::max(t.put_s, 1e-9);
+      t.put_many_s = std::max(t.put_many_s, 1e-9);
+      bench::row("%-9s %6zu %8.0f/s %8.0f/s %9.3fs %11.3fs %9.3fs %7.1fx",
+                 backend.c_str(), shards, n / t.put_s, n / t.put_many_s,
+                 t.flush_s, t.async_fg_s, t.drain_s, t.put_s / t.put_many_s);
+      const std::string section =
+          backend + "/shards=" + std::to_string(shards);
+      bench::results().record(section, "put_per_s", n / t.put_s, "1/s");
+      bench::results().record(section, "put_many_per_s", n / t.put_many_s,
+                              "1/s");
+      bench::results().record(section, "flush_s", t.flush_s, "s");
+      bench::results().record(section, "async_fg_s", t.async_fg_s, "s");
+      bench::results().record(section, "drain_s", t.drain_s, "s");
     }
   }
   parallel_section(stream);

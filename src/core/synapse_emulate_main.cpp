@@ -8,7 +8,6 @@
 //                   [--atoms NAME[,NAME...]] [--net] [--replay-batch N]
 //                   [--pace auto|off|on]
 //                   [--store-flush-ms MS] [--store-flush-max N]
-//                   [--store-format json|binary]
 //                   [--read-block KiB] [--write-block KiB] [--fs NAME]
 //                   -- COMMAND [ARGS...]
 //   synapse-emulate --scenario NAME|FILE [--profile] [tuning flags...]
@@ -26,7 +25,9 @@
 // profile as "scenario:<name>" — the profile-then-emulate round trip.
 // The profiler's --scheduler (thread|multiplexed|adaptive) and gate
 // flags (--gate-floor/--gate-burst/--gate-threshold/--gate-hold,
-// --watcher-gate NAME=F:B:T:H) apply to such runs.
+// --watcher-gate NAME=F:B:T:H) apply to such runs; the profile is
+// stored as SYNB. Replays read SYNB and the JSON of stores written
+// before SYNB existed alike.
 
 #include <algorithm>
 #include <cstdio>
@@ -154,19 +155,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       if (!backend_flag) options.store_backend = "cluster";
-    } else if (arg == "--store-format") {
-      // Profile encoding for new writes: "binary" (SYNB, the default
-      // for new stores) or "json". Reopened stores keep their recorded
-      // format unless this overrides it; reads sniff, so mixing is fine.
-      options.store_options.format = next();
-      if (options.store_options.format != "json" &&
-          options.store_options.format != "binary") {
-        std::fprintf(stderr,
-                     "synapse-emulate: --store-format wants json or binary, "
-                     "got '%s'\n",
-                     options.store_options.format.c_str());
-        return 2;
-      }
     } else if (arg == "--list-store-backends") {
       return cli::list_store_backends();
     } else if (arg == "--resource") {
@@ -314,8 +302,6 @@ int main(int argc, char** argv) {
           "                [--store-cache-mb MB] (decoded-profile cache "
           "byte\n"
           "                 budget; 0 = unbounded)\n"
-          "                [--store-format json|binary] (encoding for new\n"
-          "                 writes; new stores default to binary SYNB)\n"
           "                [--read-block KiB] [--write-block KiB]\n"
           "                [--fs NAME] -- COMMAND...\n"
           "synapse-emulate --scenario NAME|FILE [--profile] [tuning...]\n"

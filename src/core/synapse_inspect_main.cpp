@@ -10,17 +10,15 @@
 //
 // Options before the subcommand: --store DIR (default .synapse),
 // --tag TAG (repeatable), --store-cluster SPEC.json (cluster stores:
-// override the persisted instance roots), --convert json|binary
-// (re-encode every stored profile in place and record the format in
-// the store meta; runs on its own, no subcommand needed), --stats
-// (after the subcommand, report the store backend by registry name,
-// the write format, per-format stored counts and the read cache
-// counters the run accumulated).
+// override the persisted instance roots), --stats (after the
+// subcommand, report the store backend by registry name, per-format
+// stored counts and the read cache counters the run accumulated).
 //
 // The store opens with whatever backend its meta file records
 // (ProfileStore::detect_backend); a meta naming an unregistered
 // backend is a hard error listing what is registered. Reads sniff each
-// profile's stored bytes, so mixed-format stores inspect fine.
+// profile's stored bytes, so stores holding JSON profiles written
+// before SYNB existed inspect fine next to SYNB ones.
 
 #include <algorithm>
 #include <cstdio>
@@ -41,8 +39,8 @@ using synapse::profile::ProfileStore;
 namespace {
 
 int cmd_list(const ProfileStore& store, const std::string& dir) {
-  std::printf("store: %s (backend %s, writes %s)\n", dir.c_str(),
-              store.backend().c_str(), store.format().c_str());
+  std::printf("store: %s (backend %s)\n", dir.c_str(),
+              store.backend().c_str());
   auto entries = store.list();
   if (entries.empty()) {
     std::printf("(no profiles)\n");
@@ -153,9 +151,8 @@ void print_store_stats(const ProfileStore& store) {
   const auto cache = store.cache_stats();
   std::printf("store stats:\n");
   std::printf("  backend             : %s\n", store.backend().c_str());
-  std::printf("  write format        : %s\n", store.format().c_str());
-  // What is actually at rest may mix formats (conversion, legacy data):
-  // count per format across all shards.
+  // What is at rest may mix formats (legacy JSON data, oversize
+  // docstore documents): count per format across all shards.
   std::map<std::string, size_t> by_format;
   for (const auto& e : store.list()) ++by_format[e.format];
   for (const auto& [format, n] : by_format) {
@@ -213,7 +210,6 @@ int cmd_diff(const ProfileStore& store, const std::string& command,
 int main(int argc, char** argv) {
   std::string store_dir = ".synapse";
   std::string cluster_spec;
-  std::string convert_format;
   std::vector<std::string> tags;
   std::string subcommand;
   std::string export_path;
@@ -232,15 +228,6 @@ int main(int argc, char** argv) {
       store_dir = next();
     } else if (arg == "--store-cluster") {
       cluster_spec = next();
-    } else if (arg == "--convert") {
-      convert_format = next();
-      if (convert_format != "json" && convert_format != "binary") {
-        std::fprintf(stderr,
-                     "synapse-inspect: --convert wants json or binary, got "
-                     "'%s'\n",
-                     convert_format.c_str());
-        return 2;
-      }
     } else if (arg == "--stats") {
       stats_flag = true;
     } else if (arg == "--store-threads") {
@@ -266,7 +253,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "synapse-inspect [--store DIR] [--store-cluster SPEC.json]\n"
-          "                [--convert json|binary] [--tag TAG]... [--stats]\n"
+          "                [--tag TAG]... [--stats]\n"
           "                [--store-threads N] (cross-shard parallelism;\n"
           "                 0 = shared pool, 1 = serial)\n"
           "                [--store-cache-mb MB] (decoded-profile cache\n"
@@ -274,11 +261,8 @@ int main(int argc, char** argv) {
           "                [SUBCOMMAND]\n"
           "  list | show -- CMD | stats -- CMD | diff -- CMD\n"
           "  export FILE -- CMD | export-series FILE -- CMD\n"
-          "  (--convert re-encodes every stored profile in place and\n"
-          "   records the format in the store meta; runs without a\n"
-          "   subcommand. --stats appends the store backend name, write\n"
-          "   format, per-format counts, shard/instance layout and\n"
-          "   read-cache counters)\n");
+          "  (--stats appends the store backend name, per-format\n"
+          "   counts, shard/instance layout and read-cache counters)\n");
       return 0;
     } else if (subcommand.empty()) {
       subcommand = arg;
@@ -299,7 +283,7 @@ int main(int argc, char** argv) {
     command += argv[i];
   }
 
-  if (subcommand.empty() && convert_format.empty()) {
+  if (subcommand.empty()) {
     std::fprintf(stderr, "synapse-inspect: no subcommand (try --help)\n");
     return 2;
   }
@@ -314,9 +298,6 @@ int main(int argc, char** argv) {
     store_options.backend = ProfileStore::detect_backend(store_dir);
     store_options.directory = store_dir;
     store_options.cluster_spec = cluster_spec;
-    // --convert: the explicit format override makes new writes use the
-    // target encoding; convert_all() below then rewrites what is stored.
-    store_options.format = convert_format;
     store_options.threads = store_threads;
     if (store_cache_mb >= 0) {
       store_options.cache_max_bytes =
@@ -333,16 +314,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     ProfileStore store(std::move(store_options));
-
-    if (!convert_format.empty()) {
-      const size_t rewritten = store.convert_all();
-      std::printf("converted %zu profiles in %s to %s\n", rewritten,
-                  store_dir.c_str(), convert_format.c_str());
-      if (subcommand.empty()) {
-        if (stats_flag) print_store_stats(store);
-        return 0;
-      }
-    }
 
     int rc = 2;
     if (subcommand == "list") {

@@ -13,7 +13,6 @@
 //                   [--store-batch N]
 //                   [--store-flush-ms MS] [--store-flush-max N]
 //                   [--store-threads N] [--store-cache-mb MB]
-//                   [--store-format json|binary]
 //                   [--resource NAME] -- COMMAND [ARGS...]
 //   synapse-profile --list-watchers | --list-store-backends
 //
@@ -27,6 +26,10 @@
 // the background worker flushes once the oldest unflushed write is MS
 // old or N writes accumulated, and a partially filled --store-batch is
 // handed to the store once it exceeds the same age.
+//
+// Profiles are stored as SYNB, the store's only write format; a store
+// holding JSON profiles written before SYNB existed takes new SYNB
+// profiles next to them.
 
 #include <algorithm>
 #include <cstdio>
@@ -98,19 +101,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       if (!backend_flag) options.store_backend = "cluster";
-    } else if (arg == "--store-format") {
-      // Profile encoding for new writes: "binary" (SYNB, the default
-      // for new stores) or "json". Reopened stores keep their recorded
-      // format unless this overrides it; reads sniff, so mixing is fine.
-      options.store_options.format = next();
-      if (options.store_options.format != "json" &&
-          options.store_options.format != "binary") {
-        std::fprintf(stderr,
-                     "synapse-profile: --store-format wants json or binary, "
-                     "got '%s'\n",
-                     options.store_options.format.c_str());
-        return 2;
-      }
     } else if (arg == "--list-store-backends") {
       return cli::list_store_backends();
     } else if (arg == "--resource") {
@@ -244,8 +234,6 @@ int main(int argc, char** argv) {
           "                [--store-cache-mb MB] (decoded-profile cache "
           "byte\n"
           "                 budget; 0 = unbounded)\n"
-          "                [--store-format json|binary] (encoding for new\n"
-          "                 writes; new stores default to binary SYNB)\n"
           "                [--resource NAME] [--adaptive] -- COMMAND...\n"
           "synapse-profile --list-watchers | --list-store-backends\n");
       return 0;

@@ -280,8 +280,7 @@ ClusterBackend::ClusterBackend(const StoreBackendContext& context)
   try {
     ::mkdir(instance_root_.c_str(), 0755);  // EEXIST is fine
     shard_ = std::make_unique<DocStoreShardBackend>(
-        instance_root_ + "/shard-" + std::to_string(shard_index_),
-        context.format);
+        instance_root_ + "/shard-" + std::to_string(shard_index_));
   } catch (const std::exception& e) {
     degraded_reason_ = e.what();
   }

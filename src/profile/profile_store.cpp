@@ -13,7 +13,6 @@
 #include <list>
 #include <map>
 #include <mutex>
-#include <set>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -194,11 +193,6 @@ ProfileStore::ProfileStore(ProfileStoreOptions options)
   // Validate the requested name before touching the filesystem — the
   // diagnostic lists every registered backend.
   registry.ensure_registered(options_.backend);
-  if (!options_.format.empty() && options_.format != "json" &&
-      options_.format != "binary") {
-    throw sys::ConfigError("unknown profile format: " + options_.format +
-                           " (expected json or binary)");
-  }
   // The memory backend never persists; a stray directory would only
   // stamp a meta file over a path it will never read again.
   if (options_.backend == "memory") options_.directory.clear();
@@ -232,20 +226,13 @@ ProfileStore::ProfileStore(ProfileStoreOptions options)
             "' holds a docstore layout; open it with the 'docstore' "
             "backend");
       }
-      // New stores default to the binary format; the choice is only
-      // committed to options_ when this process actually wins the
-      // meta-claim race — a loser honours the winner's meta below.
-      const std::string format_candidate =
-          options_.format.empty() ? "binary" : options_.format;
       json::Object meta;
       meta["shards"] = options_.shards;
       meta["backend"] = options_.backend;
-      meta["format"] = format_candidate;
       const std::string tmp = meta_path + ".tmp-" + unique_tmp_suffix();
       json::save_file(tmp, json::Value(std::move(meta)), /*indent=*/0);
       if (::link(tmp.c_str(), meta_path.c_str()) == 0) {
         fresh_meta = true;
-        options_.format = format_candidate;
       } else if (errno != EEXIST) {
         const int err = errno;
         ::unlink(tmp.c_str());
@@ -281,18 +268,10 @@ ProfileStore::ProfileStore(ProfileStoreOptions options)
                                "' was created with the " + persisted_backend +
                                " backend, not " + options_.backend);
       }
-      // Unlike the backend, the format is NOT binding: reads sniff every
-      // stored blob, so an explicit option simply changes what new
-      // writes look like (convert_all() builds on exactly this). No
-      // option means "keep writing what the store was created with";
-      // meta files from before the format field describe JSON stores.
-      if (options_.format.empty()) {
-        options_.format = meta.get_or("format", std::string("json"));
-      }
+      // A "format" key (stores written before SYNB-only writes) is
+      // ignored: every put is SYNB and reads sniff every stored blob.
     }
   }
-  // Directory-less (memory) stores have no meta to honour.
-  if (options_.format.empty()) options_.format = "binary";
 
   // The pool cross-shard operations fan out on. threads == 1 keeps the
   // store fully serial (no pool at all); 0 shares the process-wide
@@ -312,7 +291,6 @@ ProfileStore::ProfileStore(ProfileStoreOptions options)
     context.shard_index = i;
     context.shard_count = options_.shards;
     context.spec_file = options_.cluster_spec;
-    context.format = options_.format;
     shard->backend = registry.create(options_.backend, context);
     shards_.push_back(std::move(shard));
   }
@@ -444,21 +422,6 @@ std::string ProfileStore::detect_backend(const std::string& directory) {
     return "docstore";
   }
   return "files";
-}
-
-std::string ProfileStore::detect_format(const std::string& directory) {
-  const std::string meta_path = directory + "/" + kMetaFile;
-  if (file_exists(meta_path)) {
-    try {
-      const json::Value meta = json::load_file(meta_path);
-      const std::string format = meta.get_or("format", std::string());
-      if (!format.empty()) return format;
-    } catch (const std::exception&) {
-      // Unreadable meta: the pre-format default below applies.
-    }
-  }
-  // Everything written before the format field existed is JSON.
-  return "json";
 }
 
 std::string ProfileStore::tags_key(const std::vector<std::string>& tags) {
@@ -821,51 +784,6 @@ std::vector<StoredProfileEntry> ProfileStore::list() const {
                      return store_tags_key(a.tags) < store_tags_key(b.tags);
                    });
   return out;
-}
-
-size_t ProfileStore::convert_all() {
-  std::atomic<size_t> rewritten{0};
-  run_sharded(shards_.size(), [&](size_t s) {
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    // Workload keys, not per-profile entries: read/remove/put operate
-    // per (command, tags) group, so each group is rewritten atomically
-    // under the shard lock (which the parallel fan-out keeps — one task
-    // per shard, each holding only its own lock).
-    std::set<std::pair<std::string, std::string>> keys;
-    for (const auto& e : shard.backend->list()) {
-      keys.emplace(e.command, store_tags_key(e.tags));
-    }
-    for (const auto& [command, tkey] : keys) {
-      std::vector<Profile> profiles = shard.backend->read(command, tkey);
-      shard.backend->remove(command, tkey);
-      for (const auto& p : profiles) {
-        shard.backend->put(p, tkey);
-        rewritten.fetch_add(1);
-      }
-      shard.cache_invalidate(index_key(command, tkey));
-    }
-    shard.backend->flush();
-  });
-  // The store's write format is now also the format of (almost) every
-  // stored profile: record it so future opens without an explicit
-  // option keep writing it. rename() keeps the meta readable at every
-  // instant for concurrent openers.
-  if (!options_.directory.empty()) {
-    const std::string meta_path = options_.directory + "/" + kMetaFile;
-    try {
-      json::Value meta = json::load_file(meta_path);
-      meta.as_object()["format"] = options_.format;
-      const std::string tmp = meta_path + ".tmp-" + unique_tmp_suffix();
-      json::save_file(tmp, meta, /*indent=*/0);
-      if (::rename(tmp.c_str(), meta_path.c_str()) != 0) {
-        ::unlink(tmp.c_str());
-      }
-    } catch (const std::exception&) {
-      // No meta to update (unreadable): the conversion itself stands.
-    }
-  }
-  return rewritten.load();
 }
 
 std::vector<json::Value> ProfileStore::shard_meta() const {

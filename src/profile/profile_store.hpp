@@ -19,6 +19,13 @@
 // docstore file. All public methods are safe to call from multiple
 // threads; a given (command, tags) workload always maps to the same
 // shard, so per-workload ordering guarantees are preserved.
+//
+// Formats: every write is SYNB (binary_codec.hpp). Reads sniff each
+// stored blob's magic, so stores written as JSON before SYNB existed
+// serve every profile as they are, and a new put simply lands as SYNB
+// next to its JSON siblings. The one JSON write left is the docstore's
+// fallback for a profile whose SYNB envelope exceeds the 16 MB document
+// limit (store_backend.hpp).
 
 #include <cstdint>
 #include <functional>
@@ -66,14 +73,6 @@ struct ProfileStoreOptions {
   /// factories verbatim — the cluster backend's spec
   /// (--store-cluster spec.json).
   std::string cluster_spec;
-  /// Profile encoding for NEW writes: "json", "binary" (SYNB,
-  /// binary_codec.hpp), or "" to use what the store was created with
-  /// ("binary" for new stores, and legacy meta files without a format
-  /// field mean "json"). A non-empty value always wins — reads sniff
-  /// each stored blob's magic bytes, so opening an existing store with
-  /// the other format is safe and is exactly how convert_all()
-  /// re-encodes a store in place.
-  std::string format;
   size_t shards = 8;                   ///< clamped to >= 1
   size_t cache_entries_per_shard = 16; ///< LRU find() cache; 0 disables
   /// Byte budget for the decoded-profile cache, split evenly across
@@ -82,10 +81,9 @@ struct ProfileStoreOptions {
   /// an entry larger than a whole shard's budget is served but not
   /// cached.
   size_t cache_max_bytes = 64 * 1024 * 1024;
-  /// Worker threads for cross-shard operations (put_many, list,
-  /// convert_all, flush): 0 = share the process-wide sys::TaskPool,
-  /// 1 = serial (no pool), N >= 2 = a private pool of N threads owned
-  /// by this store.
+  /// Worker threads for cross-shard operations (put_many, list, flush):
+  /// 0 = share the process-wide sys::TaskPool, 1 = serial (no pool),
+  /// N >= 2 = a private pool of N threads owned by this store.
   size_t threads = 0;
   FlushPolicy flush_policy;            ///< time/size-triggered flushing
   /// Registry backend names resolve through (nullptr = the process-wide
@@ -194,27 +192,11 @@ class ProfileStore {
   /// layout scan ("docstore" for a root collection, else "files").
   static std::string detect_backend(const std::string& directory);
 
-  /// The profile format recorded in a store directory's meta file.
-  /// Meta files that predate the format field (and meta-less legacy
-  /// layouts) report "json" — everything written before SYNB existed is
-  /// JSON. Mirrors detect_backend for tools that only got a directory.
-  static std::string detect_format(const std::string& directory);
-
   /// Catalog of every stored profile across all shards
   /// (StoreBackend::list()), sorted by (created_at, command, tags) so
   /// the output is deterministic across shard counts and across the
   /// parallel per-shard fan-out.
   std::vector<StoredProfileEntry> list() const;
-
-  /// Re-encode every stored profile in the store's current write format
-  /// (read → remove → re-put per workload, each shard under its lock),
-  /// then record the format in the meta file. Returns the number of
-  /// profiles rewritten. Open the store with an explicit
-  /// ProfileStoreOptions::format to pick the target encoding; profiles
-  /// already in that encoding are rewritten too (idempotent, cheap
-  /// relative to the conversion). Backends without list() support are
-  /// skipped.
-  size_t convert_all();
 
   size_t size() const;
   size_t shard_count() const;
@@ -222,8 +204,6 @@ class ProfileStore {
   size_t task_threads() const;
   /// Registered backend name this store resolves through.
   const std::string& backend() const { return options_.backend; }
-  /// Resolved write format ("json" or "binary").
-  const std::string& format() const { return options_.format; }
   ProfileStoreCacheStats cache_stats() const;
   /// Per-shard backend metadata (StoreBackend::meta()), indexed by
   /// shard — e.g. the cluster backend reports each shard's instance.

@@ -119,8 +119,6 @@ Profile parse_profile_blob(std::shared_ptr<const sys::Blob> blob) {
 
 class MemoryBackend : public StoreBackend {
  public:
-  explicit MemoryBackend(std::string format) : format_(std::move(format)) {}
-
   bool put(const Profile& profile, const std::string&) override {
     profiles_.push_back(profile);
     return false;
@@ -155,33 +153,33 @@ class MemoryBackend : public StoreBackend {
     std::vector<StoredProfileEntry> out;
     out.reserve(profiles_.size());
     for (const auto& p : profiles_) {
-      // Nothing is encoded at rest in memory; report the configured
-      // format with no size so listings stay uniform across backends.
+      // Nothing is encoded at rest in memory; report the format every
+      // persistent backend writes, with no size, so listings stay
+      // uniform across backends.
       out.push_back(StoredProfileEntry{p.command, p.tags, p.created_at,
-                                       format_, 0});
+                                       "binary", 0});
     }
     return out;
   }
 
  private:
   std::vector<Profile> profiles_;
-  std::string format_;
 };
 
 // --- files ----------------------------------------------------------------
 
 /// One flat file per profile under the shard directory (no size
-/// limit): *.profile.json for the JSON format, *.profile.synb for
-/// SYNB. Writes are link()-claimed so concurrent writers in other
-/// processes or store instances never collide on a sequence number and
-/// readers only ever see complete files. Reads sniff each file's magic
-/// bytes, so one shard may mix both formats (conversion, legacy data).
+/// limit): writes are *.profile.synb, and *.profile.json files written
+/// before SYNB existed are read alongside them (reads sniff each file's
+/// magic bytes). Writes are link()-claimed so concurrent writers in
+/// other processes or store instances never collide on a sequence
+/// number and readers only ever see complete files.
 class FilesBackend : public StoreBackend {
  public:
   /// Unique token rewritten by every remove(); part of cache_stamp().
   static constexpr const char* kEpochFile = ".remove.epoch";
-  FilesBackend(std::string shard_dir, std::string format)
-      : directory_(std::move(shard_dir)), format_(std::move(format)) {
+  explicit FilesBackend(std::string shard_dir)
+      : directory_(std::move(shard_dir)) {
     ::mkdir(directory_.c_str(), 0755);
   }
 
@@ -192,16 +190,10 @@ class FilesBackend : public StoreBackend {
     // profile-file read patterns), then claim the next free sequence
     // number with link().
     const std::string tmp = directory_ + "/.tmp-" + unique_tmp_suffix();
-    const bool binary = format_ == "binary";
-    if (binary) {
-      write_raw(tmp, profile.to_binary());
-    } else {
-      json::save_file(tmp, profile.to_json(), /*indent=*/0);
-    }
-    const char* suffix =
-        binary ? storedetail::kBinarySuffix : storedetail::kProfileSuffix;
+    write_raw(tmp, profile.to_binary());
     for (size_t seq = 0;; ++seq) {
-      const std::string path = base + std::to_string(seq) + suffix;
+      const std::string path =
+          base + std::to_string(seq) + storedetail::kBinarySuffix;
       if (::link(tmp.c_str(), path.c_str()) == 0) break;
       if (errno != EEXIST) {
         const int err = errno;
@@ -288,7 +280,6 @@ class FilesBackend : public StoreBackend {
   json::Value meta() const override {
     json::Object meta;
     meta["directory"] = directory_;
-    meta["format"] = format_;
     return json::Value(std::move(meta));
   }
 
@@ -383,45 +374,40 @@ class FilesBackend : public StoreBackend {
   }
 
   std::string directory_;
-  std::string format_;
 };
 
 }  // namespace
 
 // --- docstore (shared with the cluster backend) ----------------------------
 
-DocStoreShardBackend::DocStoreShardBackend(const std::string& shard_dir,
-                                           std::string format)
-    : store_(std::make_unique<docstore::Store>(shard_dir)),
-      format_(std::move(format)) {}
+DocStoreShardBackend::DocStoreShardBackend(const std::string& shard_dir)
+    : store_(std::make_unique<docstore::Store>(shard_dir)) {}
 
 DocStoreShardBackend::~DocStoreShardBackend() = default;
 
 bool DocStoreShardBackend::put(const Profile& profile,
                                const std::string& tkey) {
-  if (format_ == "binary") {
-    // Envelope document: the SYNB blob rides as base64, the query
-    // fields stay plain top-level members so FieldEquals lookups work
-    // identically for both document shapes.
-    const std::string blob = profile.to_binary();
-    // The docstore enforces its 16 MB document limit by trimming the
-    // largest array (paper section 4.5) — a base64 string offers it
-    // nothing to trim, so an envelope that cannot fit falls back to the
-    // plain JSON document and inherits the documented sample-array
-    // truncation instead of a hard failure.
-    if (blob.size() / 3 * 4 + 4096 < docstore::kMaxDocumentBytes) {
-      json::Object doc;
-      doc["command"] = profile.command;
-      json::Array jtags;
-      for (const auto& t : profile.tags) jtags.push_back(t);
-      doc["tags"] = std::move(jtags);
-      doc["tags_key"] = tkey;
-      doc["created_at"] = profile.created_at;
-      doc["synb"] = base64_encode(blob);
-      return store_->collection("profiles")
-          .insert(json::Value(std::move(doc)))
-          .truncated;
-    }
+  // Envelope document: the SYNB blob rides as base64, the query fields
+  // stay plain top-level members so FieldEquals lookups work identically
+  // for both document shapes.
+  const std::string blob = profile.to_binary();
+  // The docstore enforces its 16 MB document limit by trimming the
+  // largest array (paper section 4.5) — a base64 string offers it
+  // nothing to trim, so an envelope that cannot fit falls back to the
+  // plain JSON document and inherits the documented sample-array
+  // truncation instead of a hard failure.
+  if (blob.size() / 3 * 4 + 4096 < docstore::kMaxDocumentBytes) {
+    json::Object doc;
+    doc["command"] = profile.command;
+    json::Array jtags;
+    for (const auto& t : profile.tags) jtags.push_back(t);
+    doc["tags"] = std::move(jtags);
+    doc["tags_key"] = tkey;
+    doc["created_at"] = profile.created_at;
+    doc["synb"] = base64_encode(blob);
+    return store_->collection("profiles")
+        .insert(json::Value(std::move(doc)))
+        .truncated;
   }
   json::Value doc = profile.to_json();
   doc.as_object()["tags_key"] = tkey;
@@ -467,8 +453,11 @@ std::vector<StoredProfileEntry> DocStoreShardBackend::list() const {
       e.format = "binary";
       // Stored size is the decoded blob, not its base64 inflation —
       // that is what a files-backend copy of the same profile would
-      // occupy, so sizes compare across backends.
-      e.encoded_bytes = doc["synb"].as_string().size() / 4 * 3;
+      // occupy, so sizes compare across backends. Every 4 base64 data
+      // characters carry 3 bytes; '=' padding carries none.
+      const std::string& b64 = doc["synb"].as_string();
+      const size_t data_chars = b64.find_last_not_of('=') + 1;  // npos+1 = 0
+      e.encoded_bytes = data_chars * 3 / 4;
     } else {
       e.format = "json";
       e.encoded_bytes = json::dump(doc).size();
@@ -494,7 +483,6 @@ size_t DocStoreShardBackend::size() const {
 json::Value DocStoreShardBackend::meta() const {
   json::Object meta;
   meta["directory"] = store_->directory();
-  meta["format"] = format_;
   return json::Value(std::move(meta));
 }
 
@@ -527,14 +515,14 @@ std::string shard_dir(const StoreBackendContext& context) {
 }  // namespace
 
 StoreBackendRegistry::StoreBackendRegistry() {
-  factories_["memory"] = [](const StoreBackendContext& ctx) {
-    return std::make_unique<MemoryBackend>(ctx.format);
+  factories_["memory"] = [](const StoreBackendContext&) {
+    return std::make_unique<MemoryBackend>();
   };
   factories_["docstore"] = [](const StoreBackendContext& ctx) {
-    return std::make_unique<DocStoreShardBackend>(shard_dir(ctx), ctx.format);
+    return std::make_unique<DocStoreShardBackend>(shard_dir(ctx));
   };
   factories_["files"] = [](const StoreBackendContext& ctx) {
-    return std::make_unique<FilesBackend>(shard_dir(ctx), ctx.format);
+    return std::make_unique<FilesBackend>(shard_dir(ctx));
   };
   factories_["cluster"] = [](const StoreBackendContext& ctx) {
     return std::make_unique<ClusterBackend>(ctx);

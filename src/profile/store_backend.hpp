@@ -18,6 +18,13 @@
 // (files on disk, a common service) must tolerate concurrent access.
 // read() may return profiles in any order; ProfileStore sorts by
 // recorded timestamp.
+//
+// Formats: the built-ins write SYNB (binary_codec.hpp) — files as
+// *.profile.synb, docstore as a base64 envelope document — except that
+// the docstore stores a profile whose envelope cannot fit its 16 MB
+// document limit as the plain JSON document, which the docstore then
+// truncates (paper section 4.5). Reads sniff every file and document,
+// so JSON written before SYNB existed stays readable as it is.
 
 #include <cstdint>
 #include <functional>
@@ -50,16 +57,10 @@ struct StoreBackendContext {
   size_t shard_index = 0;
   size_t shard_count = 1;
   std::string spec_file;
-  /// Encoding for NEW writes: "json" or "binary" (SYNB, see
-  /// binary_codec.hpp). Reads always sniff the stored bytes, so a shard
-  /// may hold both formats at once — that is how format conversion and
-  /// legacy stores work.
-  std::string format = "json";
 };
 
 /// One stored profile as a backend catalogs it (synapse-inspect
-/// listings, format conversion): identity plus how and how big it is
-/// encoded at rest.
+/// listings): identity plus how and how big it is encoded at rest.
 struct StoredProfileEntry {
   std::string command;
   std::vector<std::string> tags;
@@ -110,8 +111,7 @@ class StoreBackend {
 
   /// Catalog of every profile in this shard, in any order. Default:
   /// empty — custom backends that predate the listing API keep working,
-  /// they just show up empty in synapse-inspect listings and are
-  /// skipped by format conversion.
+  /// they just show up empty in synapse-inspect listings.
   virtual std::vector<StoredProfileEntry> list() const { return {}; }
 };
 
@@ -123,13 +123,10 @@ class StoreBackend {
 /// directory.
 class DocStoreShardBackend : public StoreBackend {
  public:
-  /// `format` selects the encoding for new writes ("json" stores the
-  /// profile as a plain document; "binary" wraps a SYNB blob in a
-  /// base64 envelope document that keeps the query fields — command,
-  /// tags_key, created_at — as plain top-level members). Reads handle
-  /// both document shapes regardless.
-  explicit DocStoreShardBackend(const std::string& shard_dir,
-                                std::string format = "json");
+  /// Writes wrap a SYNB blob in a base64 envelope document that keeps
+  /// the query fields (command, tags_key, created_at) as plain
+  /// top-level members; reads also take plain JSON profile documents.
+  explicit DocStoreShardBackend(const std::string& shard_dir);
   ~DocStoreShardBackend() override;
 
   bool put(const Profile& profile, const std::string& tkey) override;
@@ -144,7 +141,6 @@ class DocStoreShardBackend : public StoreBackend {
 
  private:
   std::unique_ptr<docstore::Store> store_;
-  std::string format_;
 };
 
 class StoreBackendRegistry {
@@ -200,12 +196,12 @@ bool file_exists(const std::string& path);
 std::string unique_tmp_suffix();
 
 /// True for names ending in ".profile.json" (the files backend's
-/// one-file-per-profile layout; also the pre-sharding legacy layout,
-/// which is why the legacy migration scans use exactly this).
+/// pre-SYNB one-file-per-profile layout; also the pre-sharding legacy
+/// layout, which is why the legacy migration scans use exactly this).
 bool has_profile_suffix(const std::string& name);
 
 /// True for names ending in ".profile.synb" (the files backend's
-/// binary-format files).
+/// SYNB files, the only ones it writes).
 bool has_binary_profile_suffix(const std::string& name);
 
 /// Number of profile entries (either suffix) directly inside `dir`.

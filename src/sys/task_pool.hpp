@@ -2,7 +2,7 @@
 // TaskPool: a fixed-size, lazily-started work-queue thread pool.
 //
 // The store tier's cross-shard operations (ProfileStore put_many /
-// list / convert_all / flush) fan one task per shard onto a pool like
+// list / flush) fan one task per shard onto a pool like
 // this one instead of walking shards serially; the pool is deliberately
 // generic so the concurrent-scenario fan-out and the remote daemon can
 // share it. Threads are not spawned until the first task is submitted

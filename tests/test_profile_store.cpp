@@ -4,8 +4,12 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 
+#include "delta_golden.hpp"
 #include "docstore/docstore.hpp"
 #include "json/json.hpp"
 #include "profile/metrics.hpp"
@@ -502,8 +506,9 @@ TEST(ProfileStore, CommandsWithShellCharsAreStorable) {
 }
 
 // ---------------------------------------------------------------------------
-// Profile formats: SYNB binary vs JSON text, per-store format
-// persistence, mixed stores, and in-place conversion (convert_all).
+// Profile formats: every write is SYNB. JSON is read-only: stores written
+// before SYNB existed (golden fixtures below) and the docstore's oversize
+// fallback.
 
 namespace {
 
@@ -527,209 +532,16 @@ profile::Profile make_series_profile(const std::string& cmd, double cycles,
   return p;
 }
 
-void expect_equal_profiles(const profile::Profile& a,
-                           const profile::Profile& b) {
-  EXPECT_EQ(synapse::json::dump(a.to_json()), synapse::json::dump(b.to_json()));
-}
-
-}  // namespace
-
-TEST(ProfileStoreFormat, NewStoresDefaultToBinary) {
-  const std::string dir = "/tmp/synapse_store_fmt_default";
-  std::system(("rm -rf " + dir).c_str());
-  {
-    profile::ProfileStore store("files", dir);
-    EXPECT_EQ(store.format(), "binary");
-    store.put(make_series_profile("fmt-cmd", 100, 1.0));
-    const auto entries = store.list();
-    ASSERT_EQ(entries.size(), 1u);
-    EXPECT_EQ(entries[0].format, "binary");
-    EXPECT_EQ(entries[0].command, "fmt-cmd");
-    EXPECT_GT(entries[0].encoded_bytes, 0u);
-  }
-  EXPECT_EQ(profile::ProfileStore::detect_format(dir), "binary");
-  std::system(("rm -rf " + dir).c_str());
-}
-
-TEST(ProfileStoreFormat, ExplicitFormatPersistsAcrossReopen) {
-  const std::string dir = "/tmp/synapse_store_fmt_persist";
-  std::system(("rm -rf " + dir).c_str());
-  profile::ProfileStoreOptions options;
-  options.format = "json";
-  {
-    profile::ProfileStore store("files", dir, options);
-    EXPECT_EQ(store.format(), "json");
-    store.put(make_series_profile("json-cmd", 7, 1.0));
-  }
-  EXPECT_EQ(profile::ProfileStore::detect_format(dir), "json");
-  {
-    // No format in the options: the store keeps what it was created
-    // with, it does NOT silently upgrade to the binary default.
-    profile::ProfileStore store("files", dir);
-    EXPECT_EQ(store.format(), "json");
-    const auto entries = store.list();
-    ASSERT_EQ(entries.size(), 1u);
-    EXPECT_EQ(entries[0].format, "json");
-  }
-  std::system(("rm -rf " + dir).c_str());
-}
-
-TEST(ProfileStoreFormat, LegacyMetaWithoutFormatMeansJson) {
-  // Stores written before SYNB existed have no "format" field in
-  // store.meta.json; they must open as JSON stores with no data loss.
-  const std::string dir = "/tmp/synapse_store_fmt_legacy";
-  std::system(("rm -rf " + dir).c_str());
-  const auto original = make_series_profile("legacy-cmd", 42, 2.0);
-  profile::ProfileStoreOptions options;
-  options.format = "json";
-  {
-    profile::ProfileStore store("files", dir, options);
-    store.put(original);
-  }
-  {
-    auto meta = synapse::json::load_file(dir + "/store.meta.json");
-    meta.as_object().erase("format");
-    synapse::json::save_file(dir + "/store.meta.json", meta);
-  }
-  EXPECT_EQ(profile::ProfileStore::detect_format(dir), "json");
-  {
-    profile::ProfileStore store("files", dir);
-    EXPECT_EQ(store.format(), "json");
-    const auto hits = store.find("legacy-cmd", {"fmt"});
-    ASSERT_EQ(hits.size(), 1u);
-    expect_equal_profiles(hits[0], original);
-  }
-  std::system(("rm -rf " + dir).c_str());
-}
-
-TEST(ProfileStoreFormat, MixedFormatStoreReadsBoth) {
-  // Reads sniff each blob's magic, so a store written under both
-  // formats (e.g. mid-conversion, or by old and new recorders) serves
-  // every profile.
-  const std::string dir = "/tmp/synapse_store_fmt_mixed";
-  std::system(("rm -rf " + dir).c_str());
-  profile::ProfileStoreOptions json_opts;
-  json_opts.format = "json";
-  {
-    profile::ProfileStore store("files", dir, json_opts);
-    store.put(make_series_profile("mixed-cmd", 1, 1.0));
-  }
-  profile::ProfileStoreOptions bin_opts;
-  bin_opts.format = "binary";
-  {
-    profile::ProfileStore store("files", dir, bin_opts);
-    store.put(make_series_profile("mixed-cmd", 2, 2.0));
-    const auto hits = store.find("mixed-cmd", {"fmt"});
-    ASSERT_EQ(hits.size(), 2u);
-    EXPECT_DOUBLE_EQ(hits[0].total(m::kCyclesUsed), 1.0);
-    EXPECT_DOUBLE_EQ(hits[1].total(m::kCyclesUsed), 2.0);
-    std::vector<std::string> formats;
-    for (const auto& e : store.list()) formats.push_back(e.format);
-    std::sort(formats.begin(), formats.end());
-    EXPECT_EQ(formats, (std::vector<std::string>{"binary", "json"}));
-  }
-  std::system(("rm -rf " + dir).c_str());
-}
-
-class ProfileStoreConvert : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(ProfileStoreConvert, JsonStoreConvertsToBinaryWithoutDataLoss) {
-  const std::string backend = GetParam();
-  const std::string dir = "/tmp/synapse_store_fmt_convert_" + backend;
-  std::system(("rm -rf " + dir).c_str());
-  std::vector<profile::Profile> originals;
-  for (int i = 0; i < 6; ++i) {
-    originals.push_back(make_series_profile("conv-" + std::to_string(i % 3),
-                                            i * 10.0, 1.0 + i));
-  }
-  profile::ProfileStoreOptions json_opts;
-  json_opts.format = "json";
-  {
-    profile::ProfileStore store(backend, dir, json_opts);
-    store.put_many(originals);
-    store.flush();
-  }
-  {
-    profile::ProfileStoreOptions bin_opts;
-    bin_opts.format = "binary";
-    profile::ProfileStore store(backend, dir, bin_opts);
-    EXPECT_EQ(store.convert_all(), originals.size());
-    store.flush();
-  }
-  EXPECT_EQ(profile::ProfileStore::detect_format(dir), "binary");
-  {
-    profile::ProfileStore store(backend, dir);
-    EXPECT_EQ(store.format(), "binary");
-    EXPECT_EQ(store.size(), originals.size());
-    for (const auto& e : store.list()) EXPECT_EQ(e.format, "binary");
-    for (const auto& original : originals) {
-      const auto hits = store.find(original.command, original.tags);
-      bool found = false;
-      for (const auto& hit : hits) {
-        if (hit.created_at != original.created_at) continue;
-        found = true;
-        expect_equal_profiles(hit, original);
-        // The replay input survives the re-encoding bit for bit.
-        const auto a = hit.sample_deltas();
-        const auto b = original.sample_deltas();
-        ASSERT_EQ(a.size(), b.size());
-        for (size_t i = 0; i < a.size(); ++i) {
-          EXPECT_EQ(a[i].deltas, b[i].deltas);
-        }
-      }
-      EXPECT_TRUE(found) << original.command << " @ " << original.created_at;
-    }
-  }
-  std::system(("rm -rf " + dir).c_str());
-}
-
-TEST_P(ProfileStoreConvert, BinaryStoreConvertsBackToJson) {
-  const std::string backend = GetParam();
-  const std::string dir = "/tmp/synapse_store_fmt_unconvert_" + backend;
-  std::system(("rm -rf " + dir).c_str());
-  const auto original = make_series_profile("unconv", 5, 3.0);
-  {
-    profile::ProfileStore store(backend, dir);  // binary by default
-    store.put(original);
-    store.flush();
-  }
-  {
-    profile::ProfileStoreOptions json_opts;
-    json_opts.format = "json";
-    profile::ProfileStore store(backend, dir, json_opts);
-    EXPECT_EQ(store.convert_all(), 1u);
-    store.flush();
-  }
-  EXPECT_EQ(profile::ProfileStore::detect_format(dir), "json");
-  {
-    profile::ProfileStore store(backend, dir);
-    const auto hits = store.find("unconv", {"fmt"});
-    ASSERT_EQ(hits.size(), 1u);
-    expect_equal_profiles(hits[0], original);
-    for (const auto& e : store.list()) EXPECT_EQ(e.format, "json");
-  }
-  std::system(("rm -rf " + dir).c_str());
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, ProfileStoreConvert,
-                         ::testing::Values("files", "docstore"));
-
-/// JSON-format stores read profiles back through json::parse and
-/// Profile::from_json: what comes back must dump to exactly the JSON
-/// that was put. Reopened cold so the read parses, not the cache.
-class ProfileStoreJsonRoundTrip
-    : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(ProfileStoreJsonRoundTrip, ReadBackDumpsIdentically) {
-  const std::string backend = GetParam();
-  const std::string dir = "/tmp/synapse_store_json_rt_" + backend;
-  std::system(("rm -rf " + dir).c_str());
-  profile::Profile original = make_series_profile("json-rt", 5, 3.0);
-  original.tags = {"fmt", "b-tag"};
-  original.system.hostname = "host \"quoted\"";
-  original.system.num_cores = 8;
-  original.system.total_memory_bytes = 17179869184ull;
-  original.derived["efficiency"] = 0.125;
+/// make_series_profile plus everything else the JSON form carries: a
+/// variable-rate io series with gate parameters, a hostname that needs
+/// escaping, system facts and derived values.
+profile::Profile make_rich_profile() {
+  profile::Profile p = make_series_profile("json-rt", 5, 3.0);
+  p.tags = {"fmt", "b-tag"};
+  p.system.hostname = "host \"quoted\"";
+  p.system.num_cores = 8;
+  p.system.total_memory_bytes = 17179869184ull;
+  p.derived["efficiency"] = 0.125;
   profile::TimeSeries io;
   io.watcher = "io";
   io.sample_rate_hz = 50.0;
@@ -742,55 +554,227 @@ TEST_P(ProfileStoreJsonRoundTrip, ReadBackDumpsIdentically) {
     s.values[std::string(m::kBytesWritten)] = 1e-7 + t;
     io.samples.push_back(std::move(s));
   }
-  original.series.push_back(std::move(io));
+  p.series.push_back(std::move(io));
+  return p;
+}
 
-  profile::ProfileStoreOptions options;
-  options.format = "json";
+/// The builders of the profiles in tests/fixtures/legacy_json_store/.
+std::vector<profile::Profile> legacy_fixture_profiles() {
+  return {make_rich_profile(), make_series_profile("legacy-a", 10, 1.0),
+          make_series_profile("legacy-a", 20, 2.0),
+          make_series_profile("legacy-b", 30, 4.0)};
+}
+
+void expect_equal_profiles(const profile::Profile& a,
+                           const profile::Profile& b) {
+  EXPECT_EQ(synapse::json::dump(a.to_json()), synapse::json::dump(b.to_json()));
+}
+
+/// The stored profile of `original`'s workload recorded at its
+/// created_at, or nullptr.
+const profile::Profile* find_recorded(const std::vector<profile::Profile>& hits,
+                                      const profile::Profile& original) {
+  for (const auto& hit : hits) {
+    if (hit.created_at == original.created_at) return &hit;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+TEST(ProfileStoreFormat, NewStoresDefaultToBinary) {
+  // Puts land as SYNB, and a new store's meta names no format.
+  const std::string dir = "/tmp/synapse_store_fmt_default";
+  std::system(("rm -rf " + dir).c_str());
   {
-    profile::ProfileStore store(backend, dir, options);
-    store.put(original);
-    store.flush();
+    profile::ProfileStore store("files", dir);
+    store.put(make_series_profile("fmt-cmd", 100, 1.0));
+    const auto entries = store.list();
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].format, "binary");
+    EXPECT_EQ(entries[0].command, "fmt-cmd");
+    EXPECT_GT(entries[0].encoded_bytes, 0u);
+  }
+  EXPECT_FALSE(
+      synapse::json::load_file(dir + "/store.meta.json").contains("format"));
+  std::system(("rm -rf " + dir).c_str());
+}
+
+TEST(ProfileStoreFormat, ListedBytesAreTheSynbBlobSize) {
+  // list() reports a SYNB profile's size at rest as its blob size on
+  // every backend. The docstore keeps the blob base64-encoded, so its
+  // '=' padding must not count: one profile per blob size residue mod 3
+  // covers every padding length.
+  std::vector<profile::Profile> profiles;
+  std::map<std::string, size_t> blob_bytes;
+  std::set<size_t> residues;
+  for (const std::string cmd : {"pad", "pad-", "pad--"}) {
+    profiles.push_back(make_series_profile(cmd, 1, 1.0));
+    blob_bytes[cmd] = profiles.back().to_binary().size();
+    residues.insert(blob_bytes[cmd] % 3);
+  }
+  ASSERT_EQ(residues.size(), 3u) << "blob sizes must cover every residue";
+  for (const std::string backend : {"files", "docstore"}) {
+    SCOPED_TRACE(backend);
+    const std::string dir = "/tmp/synapse_store_fmt_bytes_" + backend;
+    std::system(("rm -rf " + dir).c_str());
+    {
+      profile::ProfileStore store(backend, dir);
+      store.put_many(profiles);
+      const auto entries = store.list();
+      ASSERT_EQ(entries.size(), profiles.size());
+      for (const auto& e : entries) {
+        EXPECT_EQ(e.format, "binary") << e.command;
+        EXPECT_EQ(e.encoded_bytes, blob_bytes.at(e.command)) << e.command;
+      }
+    }
+    std::system(("rm -rf " + dir).c_str());
+  }
+}
+
+TEST(ProfileStoreFormat, OversizeDocstorePutFallsBackToTruncatedJson) {
+  // The one JSON write left: a SYNB envelope that cannot fit the 16 MB
+  // document limit is stored as the plain JSON document, which the
+  // docstore truncates by trimming its sample array (paper section 4.5).
+  profile::Profile big = make_profile("oversize", {"big"}, 1, 1.0);
+  profile::TimeSeries ts;
+  ts.watcher = "cpu";
+  ts.sample_rate_hz = 100.0;
+  constexpr int kSamples = 320000;
+  ts.samples.reserve(kSamples);
+  for (int i = 0; i < kSamples; ++i) {
+    profile::Sample s;
+    s.timestamp = 1.0 + 0.01 * i;
+    s.values[std::string(m::kCyclesUsed)] = 1e6 * i;
+    s.values[std::string(m::kInstructions)] = 2e6 * i;
+    s.values[std::string(m::kBytesRead)] = 512.0 * i;
+    s.values[std::string(m::kBytesWritten)] = 256.0 * i;
+    ts.samples.push_back(std::move(s));
+  }
+  big.series.push_back(std::move(ts));
+  ASSERT_GT(big.to_binary().size() / 3 * 4,
+            synapse::docstore::kMaxDocumentBytes);
+
+  const std::string dir = "/tmp/synapse_store_fmt_oversize";
+  std::system(("rm -rf " + dir).c_str());
+  {
+    profile::ProfileStore store("docstore", dir);
+    EXPECT_TRUE(store.put(big));
+    const auto entries = store.list();
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].format, "json");
   }
   {
-    profile::ProfileStore store(backend, dir);
-    EXPECT_EQ(store.format(), "json");
-    const auto found = store.find_latest("json-rt", original.tags);
+    profile::ProfileStore store("docstore", dir);  // cold: parses the file
+    const auto found = store.find_latest("oversize", {"big"});
     ASSERT_TRUE(found.has_value());
+    EXPECT_EQ(found->command, big.command);
+    EXPECT_EQ(found->tags, big.tags);
+    ASSERT_EQ(found->series.size(), 1u);
+    const auto& got = found->series[0].samples;
+    const auto& put = big.series[0].samples;
+    EXPECT_FALSE(got.empty());
+    EXPECT_LT(got.size(), put.size());
+    for (size_t i = 0; i < std::min(got.size(), put.size()); ++i) {
+      if (got[i].timestamp != put[i].timestamp ||
+          got[i].values != put[i].values) {
+        ADD_FAILURE() << "sample " << i << " differs from the put prefix";
+        break;
+      }
+    }
+  }
+  std::system(("rm -rf " + dir).c_str());
+}
+
+/// Golden legacy stores (tests/fixtures/legacy_json_store/<backend>/,
+/// 2 shards, the profiles of legacy_fixture_profiles()) written by the
+/// JSON writer that predates SYNB. The files fixture's meta has no
+/// "format" key, the docstore fixture's still says "json". Opening a
+/// store writes (meta checks, migration scans, flushes), so each test
+/// opens a fresh copy.
+class ProfileStoreLegacyJson : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    dir_ = "/tmp/synapse_store_legacy_json_" + GetParam();
+    std::filesystem::remove_all(dir_);
+    std::filesystem::copy(
+        std::string(SYNAPSE_TEST_FIXTURE_DIR "/legacy_json_store/") +
+            GetParam(),
+        dir_, std::filesystem::copy_options::recursive);
+  }
+
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::string dir_;
+};
+
+TEST_P(ProfileStoreLegacyJson, ReadBackDumpsIdentically) {
+  profile::ProfileStore store(GetParam(), dir_);
+  EXPECT_EQ(store.size(), legacy_fixture_profiles().size());
+  for (const auto& original : legacy_fixture_profiles()) {
+    SCOPED_TRACE(original.command + " @ " +
+                 std::to_string(original.created_at));
+    const auto hits = store.find(original.command, original.tags);
+    const profile::Profile* found = find_recorded(hits, original);
+    ASSERT_NE(found, nullptr);
     EXPECT_FALSE(found->has_binary_payload());
     expect_equal_profiles(*found, original);
+    // Bit-level hash over rows, lane names, durations, cells, presence.
+    EXPECT_EQ(delta_golden::checksum(found->delta_table()),
+              delta_golden::checksum(original.delta_table()));
   }
-  std::system(("rm -rf " + dir).c_str());
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, ProfileStoreJsonRoundTrip,
-                         ::testing::Values("files", "docstore"));
-
-TEST(ProfileStoreFormat, BinaryStoresAreSmallerOnDisk) {
-  // Same stream, both formats: the files backend's on-disk footprint
-  // (list() reports the encoded byte sizes) must at most halve.
-  const std::string dir = "/tmp/synapse_store_fmt_size";
-  size_t bytes[2] = {0, 0};
-  int slot = 0;
-  for (const std::string format : {"json", "binary"}) {
-    std::system(("rm -rf " + dir).c_str());
-    profile::ProfileStoreOptions options;
-    options.format = format;
-    profile::ProfileStore store("files", dir, options);
-    for (int i = 0; i < 4; ++i) {
-      store.put(make_series_profile("size-cmd", i * 100.0, 1.0 + i));
+TEST_P(ProfileStoreLegacyJson, ListReportsJsonAtRest) {
+  profile::ProfileStore store(GetParam(), dir_);
+  const auto entries = store.list();
+  ASSERT_EQ(entries.size(), legacy_fixture_profiles().size());
+  std::multiset<size_t> listed;
+  for (const auto& e : entries) {
+    EXPECT_EQ(e.format, "json") << e.command;
+    listed.insert(e.encoded_bytes);
+  }
+  if (GetParam() != "files") return;
+  // A files entry's size at rest is its file's size.
+  std::multiset<size_t> on_disk;
+  for (const auto& f : std::filesystem::recursive_directory_iterator(dir_)) {
+    const std::string name = f.path().filename().string();
+    if (name.size() > 13 && name.substr(name.size() - 13) == ".profile.json") {
+      on_disk.insert(static_cast<size_t>(f.file_size()));
     }
-    for (const auto& e : store.list()) bytes[slot] += e.encoded_bytes;
-    ++slot;
   }
-  std::system(("rm -rf " + dir).c_str());
-  ASSERT_GT(bytes[0], 0u);
-  EXPECT_LE(bytes[1] * 2, bytes[0])
-      << bytes[1] << " binary vs " << bytes[0] << " JSON bytes";
+  EXPECT_EQ(listed, on_disk);
 }
 
-TEST(ProfileStoreFormat, UnknownFormatIsRejected) {
-  profile::ProfileStoreOptions options;
-  options.format = "msgpack";
-  EXPECT_THROW(profile::ProfileStore store(std::move(options)),
-               synapse::sys::ConfigError);
+TEST_P(ProfileStoreLegacyJson, PutLandsAsBinaryAndBothFormatsRead) {
+  // A new recording of a legacy workload sits next to its JSON siblings.
+  const auto added = make_series_profile("legacy-a", 40, 5.0);
+  {
+    profile::ProfileStore store(GetParam(), dir_);
+    store.put(added);
+    size_t binary = 0;
+    for (const auto& e : store.list()) {
+      EXPECT_EQ(e.format, e.created_at == added.created_at ? "binary" : "json")
+          << e.command << " @ " << e.created_at;
+      binary += e.format == "binary" ? 1 : 0;
+    }
+    EXPECT_EQ(binary, 1u);
+    store.flush();
+  }
+  profile::ProfileStore store(GetParam(), dir_);  // cold reopen
+  auto expected = legacy_fixture_profiles();
+  expected.push_back(added);
+  EXPECT_EQ(store.size(), expected.size());
+  for (const auto& original : expected) {
+    SCOPED_TRACE(original.command + " @ " +
+                 std::to_string(original.created_at));
+    const auto hits = store.find(original.command, original.tags);
+    const profile::Profile* found = find_recorded(hits, original);
+    ASSERT_NE(found, nullptr);
+    EXPECT_EQ(found->has_binary_payload(), &original == &expected.back());
+    expect_equal_profiles(*found, original);
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(Backends, ProfileStoreLegacyJson,
+                         ::testing::Values("files", "docstore"));

@@ -308,44 +308,6 @@ TEST_P(ProfileStoreConcurrency, PoolBackedPutManyRacesReadersAndRemove) {
   EXPECT_EQ(store.size(), total_puts - removed.load());
 }
 
-TEST_P(ProfileStoreConcurrency, ConvertAllRacesReaders) {
-  // Shard-parallel convert_all() (json -> binary -> json -> ...) while
-  // readers hammer finds: every read observes the complete workload set
-  // and decoded totals survive every round trip.
-  auto store = make_store(/*threads=*/4);
-  constexpr int kWorkloads = 24;
-  for (int i = 0; i < kWorkloads; ++i) {
-    store.put(make_profile("conv-" + std::to_string(i), {"ca"},
-                           1000.0 + i, static_cast<double>(i)));
-  }
-
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 2; ++r) {
-    readers.emplace_back([&, r] {
-      int step = r;
-      while (!stop.load()) {
-        const int i = (step += 7) % kWorkloads;
-        const auto found = store.find("conv-" + std::to_string(i), {"ca"});
-        ASSERT_EQ(found.size(), 1u);
-        EXPECT_DOUBLE_EQ(
-            found[0].totals.at(std::string(m::kCyclesUsed)), 1000.0 + i);
-        ASSERT_EQ(store.list().size(), static_cast<size_t>(kWorkloads));
-      }
-    });
-  }
-
-  for (int round = 0; round < 4; ++round) {
-    EXPECT_EQ(store.convert_all(), static_cast<size_t>(kWorkloads))
-        << "round " << round;
-    EXPECT_EQ(store.size(), static_cast<size_t>(kWorkloads));
-  }
-  stop.store(true);
-  for (auto& r : readers) r.join();
-
-  EXPECT_EQ(store.size(), static_cast<size_t>(kWorkloads));
-}
-
 INSTANTIATE_TEST_SUITE_P(Backends, ProfileStoreConcurrency,
                          ::testing::ValuesIn(backends_under_test()));
 

@@ -108,7 +108,6 @@ TEST(MmapProfileDecode, DecodedProfileOutlivesFileDeletion) {
   profile::ProfileStoreOptions options;
   options.backend = "files";
   options.directory = dir;
-  options.format = "binary";
   options.shards = 2;
   profile::ProfileStore store(options);
   store.put(make_profile("held-cmd", {"x"}, 1.0, 64));
@@ -324,8 +323,6 @@ TEST(ProfileStoreParallel, ThreadKnobProducesIdenticalResults) {
     }
     EXPECT_EQ(store.size(), 48u);
     EXPECT_EQ(store.list().size(), 48u);
-    EXPECT_EQ(store.convert_all(), 48u);
-    EXPECT_EQ(store.size(), 48u);
     sizes.push_back(store.size());
     std::system(("rm -rf " + dir).c_str());
   }
