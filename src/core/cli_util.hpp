@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "profile/profile_store.hpp"
 #include "profile/store_backend.hpp"
 #include "watchers/watcher.hpp"
 
@@ -26,6 +27,16 @@ inline int list_store_backends() {
       "\nnote: 'cluster' distributes the store's shards across the\n"
       "docstore instances of a --store-cluster spec.json\n");
   return 0;
+}
+
+/// The backend every CLI opens `store_dir` with: the name given with
+/// --store-backend (or "cluster", implied by --store-cluster) when one
+/// was given, otherwise the backend the store records
+/// (ProfileStore::detect_backend; "files" for a fresh directory).
+inline std::string resolve_store_backend(const std::string& store_dir,
+                                         const std::string& requested) {
+  if (!requested.empty()) return requested;
+  return profile::ProfileStore::detect_backend(store_dir);
 }
 
 /// Split a comma-separated name list ("compute, storage,my-atom"),

@@ -28,6 +28,9 @@
 // --watcher-gate NAME=F:B:T:H) apply to such runs; the profile is
 // stored as SYNB. Replays read SYNB and the JSON of stores written
 // before SYNB existed alike.
+//
+// Without --store-backend or --store-cluster, the store opens with the
+// backend it records, as in synapse-profile and synapse-inspect.
 
 #include <algorithm>
 #include <cstdio>
@@ -124,7 +127,7 @@ int main(int argc, char** argv) {
   std::string resource_name;
   std::string scenario;
   bool store_flag = false;
-  bool backend_flag = false;
+  std::string store_backend;  ///< --store-backend, or implied by --store-cluster
   bool profile_flag = false;
 
   int i = 1;
@@ -139,12 +142,17 @@ int main(int argc, char** argv) {
       options.store_dir = next();
       store_flag = true;
     } else if (arg == "--store-backend") {
-      // Any name registered with the StoreBackendRegistry ("files" is
-      // the default); unknown names fail with a ConfigError listing
-      // what is registered. The FlushPolicy flags only have a worker to
-      // drive on buffering backends (docstore, cluster).
-      options.store_backend = next();
-      backend_flag = true;
+      // Any name registered with the StoreBackendRegistry; unknown names
+      // fail with a ConfigError listing what is registered. Without it
+      // the store opens with the backend it records (files when fresh).
+      // The FlushPolicy flags only have a worker to drive on buffering
+      // backends (docstore, cluster).
+      store_backend = next();
+      if (store_backend.empty()) {
+        std::fprintf(stderr,
+                     "synapse-emulate: --store-backend needs a name\n");
+        return 2;
+      }
     } else if (arg == "--store-cluster") {
       // Cluster-spec file for the multi-instance backend; implies
       // --store-backend cluster unless one was named explicitly.
@@ -154,7 +162,7 @@ int main(int argc, char** argv) {
                      "synapse-emulate: --store-cluster needs a spec file\n");
         return 2;
       }
-      if (!backend_flag) options.store_backend = "cluster";
+      if (store_backend.empty()) store_backend = "cluster";
     } else if (arg == "--list-store-backends") {
       return cli::list_store_backends();
     } else if (arg == "--resource") {
@@ -328,6 +336,8 @@ int main(int argc, char** argv) {
     if (!command.empty()) command += ' ';
     command += argv[i];
   }
+  options.store_backend =
+      cli::resolve_store_backend(options.store_dir, store_backend);
   if (command.empty() && scenario.empty()) {
     std::fprintf(stderr,
                  "synapse-emulate: no command given (use -- or --scenario)\n");

@@ -15,10 +15,11 @@
 // stored counts and the read cache counters the run accumulated).
 //
 // The store opens with whatever backend its meta file records
-// (ProfileStore::detect_backend); a meta naming an unregistered
-// backend is a hard error listing what is registered. Reads sniff each
-// profile's stored bytes, so stores holding JSON profiles written
-// before SYNB existed inspect fine next to SYNB ones.
+// (cli::resolve_store_backend, the rule every synapse-* tool shares);
+// a meta naming an unregistered backend is a hard error listing what
+// is registered. Reads sniff each profile's stored bytes, so stores
+// holding JSON profiles written before SYNB existed inspect fine next
+// to SYNB ones.
 
 #include <algorithm>
 #include <cstdio>
@@ -28,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "core/cli_util.hpp"
 #include "json/json.hpp"
 #include "profile/export.hpp"
 #include "profile/profile_store.hpp"
@@ -295,7 +297,8 @@ int main(int argc, char** argv) {
     // reopen from their persisted placement; --store-cluster overrides
     // the instance roots when they moved.
     synapse::profile::ProfileStoreOptions store_options;
-    store_options.backend = ProfileStore::detect_backend(store_dir);
+    store_options.backend =
+        synapse::cli::resolve_store_backend(store_dir, /*requested=*/"");
     store_options.directory = store_dir;
     store_options.cluster_spec = cluster_spec;
     store_options.threads = store_threads;

@@ -29,7 +29,9 @@
 //
 // Profiles are stored as SYNB, the store's only write format; a store
 // holding JSON profiles written before SYNB existed takes new SYNB
-// profiles next to them.
+// profiles next to them. Without --store-backend or --store-cluster,
+// an existing store opens with the backend it records, as in
+// synapse-emulate and synapse-inspect.
 
 #include <algorithm>
 #include <cstdio>
@@ -70,7 +72,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> tags;
   std::string command;
   std::string resource_name;
-  bool backend_flag = false;
+  std::string store_backend;  ///< --store-backend, or implied by --store-cluster
 
   int i = 1;
   for (; i < argc; ++i) {
@@ -85,12 +87,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--store") {
       options.store_dir = next();
     } else if (arg == "--store-backend") {
-      // Any name registered with the StoreBackendRegistry ("files" is
-      // the default); unknown names fail with a ConfigError listing
-      // what is registered. The FlushPolicy flags below only have a
-      // worker to drive on buffering backends (docstore, cluster).
-      options.store_backend = next();
-      backend_flag = true;
+      // Any name registered with the StoreBackendRegistry; unknown names
+      // fail with a ConfigError listing what is registered. Without it
+      // the store opens with the backend it records (files when fresh).
+      // The FlushPolicy flags only have a worker to drive on buffering
+      // backends (docstore, cluster).
+      store_backend = next();
+      if (store_backend.empty()) {
+        std::fprintf(stderr,
+                     "synapse-profile: --store-backend needs a name\n");
+        return 2;
+      }
     } else if (arg == "--store-cluster") {
       // Cluster-spec file for the multi-instance backend; implies
       // --store-backend cluster unless one was named explicitly.
@@ -100,7 +107,7 @@ int main(int argc, char** argv) {
                      "synapse-profile: --store-cluster needs a spec file\n");
         return 2;
       }
-      if (!backend_flag) options.store_backend = "cluster";
+      if (store_backend.empty()) store_backend = "cluster";
     } else if (arg == "--list-store-backends") {
       return cli::list_store_backends();
     } else if (arg == "--resource") {
@@ -247,6 +254,8 @@ int main(int argc, char** argv) {
     if (!command.empty()) command += ' ';
     command += argv[i];
   }
+  options.store_backend =
+      cli::resolve_store_backend(options.store_dir, store_backend);
   if (command.empty()) {
     std::fprintf(stderr, "synapse-profile: no command given (use --)\n");
     return 2;

@@ -94,8 +94,9 @@ struct EmulatorOptions {
   /// ReplayPace). Default Auto: variable-rate profiles replay on their
   /// recorded timeline (a burst is replayed as a burst, an idle stretch
   /// as an idle stretch), fixed-rate profiles replay at full speed as
-  /// before. Each window is released at its first sample's recorded
-  /// offset, keeping the barrier and hook-order semantics untouched.
+  /// before. Each window is released when its first sample's recorded
+  /// period starts, and a paced replay lasts at least the recorded span,
+  /// keeping the barrier and hook-order semantics untouched.
   ReplayPace pace = ReplayPace::Auto;
 
   /// Ring-exchange bytes per rank per replayed sample in Process mode

@@ -229,14 +229,22 @@ void ReplayEngine::feed(const profile::Profile& profile,
       });
     }
 
-    // Pacing clock: a window is released at its first row's recorded
-    // offset, the sum of the durations of rows 1..first_row. Row 0's
-    // duration describes the period BEFORE it, which the replay has no
-    // counterpart for.
+    // Pacing clock: row k holds what was consumed in the period ending
+    // at sample k, so a window is released when its first row's period
+    // starts, the sum of the durations of rows 1..first_row-1. Rows 0
+    // and 1 both start at once: row 0's duration describes the period
+    // BEFORE the first sample, which the replay has no counterpart for.
+    // A paced replay then lasts at least the recorded span, the sum of
+    // the durations of rows 1..rows-1: it waits out an idle tail.
     const bool paced = replay_paced(opts, profile);
     const double t0 = sys::steady_now();
     double offset = 0.0;
     size_t covered = 0;  ///< offset includes durations 1..covered
+    const auto advance_clock = [&](size_t row) {
+      for (; covered < row; ++covered) offset += table.duration(covered + 1);
+      const double wait = t0 + offset - sys::steady_now();
+      if (wait > 0) sys::sleep_for(wait);
+    };
     std::vector<size_t> receivers;
     receivers.reserve(engaged.size());
 
@@ -248,13 +256,7 @@ void ReplayEngine::feed(const profile::Profile& profile,
         FrameTask& task = slots[published % ahead];
         task.first_row = published * window;
         task.rows = std::min(window, table.rows() - task.first_row);
-        if (paced) {
-          for (; covered < task.first_row; ++covered) {
-            offset += table.duration(covered + 1);
-          }
-          const double wait = t0 + offset - sys::steady_now();
-          if (wait > 0) sys::sleep_for(wait);
-        }
+        if (paced && task.first_row > 0) advance_clock(task.first_row - 1);
         const profile::DeltaFrame frame =
             table.frame(task.first_row, task.rows);
         receivers.clear();
@@ -287,6 +289,7 @@ void ReplayEngine::feed(const profile::Profile& profile,
         ++result.samples_replayed;
       }
     }
+    if (paced && table.rows() > 0) advance_clock(table.rows() - 1);
   } catch (...) {
     // A throwing hook (e.g. a ring-exchange failure in Process mode):
     // consumers stop after the window they are on, then propagate.

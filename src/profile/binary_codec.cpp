@@ -257,6 +257,25 @@ std::string encode_binary(const Profile& p) {
   return out;
 }
 
+size_t encoded_binary_size(const Profile& p) {
+  size_t bytes = 12 + encode_header(p).size() + 4;
+  for (const auto& ts : p.series) {
+    const size_t count = ts.samples.size();
+    std::map<std::string_view, size_t> present;  // dictionary + counts
+    for (const auto& s : ts.samples) {
+      for (const auto& [k, _] : s.values) ++present[k];
+    }
+    // Framing, flags, gate, metric and sample counts, timestamps.
+    bytes += 4 + ts.watcher.size() + 8 + 1 + (ts.gate.any() ? 32 : 0) + 8 +
+             count * 8;
+    for (const auto& [name, n] : present) {
+      bytes += 4 + name.size() + 1 + (n == count ? 0 : (count + 7) / 8) + 4 +
+               n * 8;
+    }
+  }
+  return bytes;
+}
+
 double MetricColumnView::value(size_t packed_index) const {
   return load_f64(values + packed_index * 8);
 }

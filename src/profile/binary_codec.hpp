@@ -71,6 +71,10 @@ bool looks_like_binary_profile(std::string_view data);
 /// Encode a profile into a SYNB blob.
 std::string encode_binary(const Profile& p);
 
+/// encode_binary(p).size(), from one walk over the series and without
+/// building the columns.
+size_t encoded_binary_size(const Profile& p);
+
 /// Decode a SYNB blob into a fully materialized Profile. Throws
 /// CodecError on malformed input. Prefer Profile::from_binary, which
 /// additionally retains the blob so delta_table() can run the kernel

@@ -111,9 +111,10 @@ void write_file(const std::string& path, const std::string& content) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) throw sys::SystemError("fopen(" + path + ")", errno);
   const size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  if (written != content.size()) {
-    throw sys::SynapseError("short write: " + path);
+  if (std::fclose(f) != 0 || written != content.size()) {
+    const int err = errno;
+    std::remove(path.c_str());
+    throw sys::SystemError("write(" + path + ")", err);
   }
 }
 

@@ -28,7 +28,8 @@ std::string series_to_csv(const Profile& profile);
 /// is the number that matters, not the nominal rate).
 std::string totals_to_csv(const std::vector<Profile>& profiles);
 
-/// Write a string to a file (creates/truncates). Throws SystemError.
+/// Write a string to a file (creates/truncates). Throws SystemError,
+/// after removing a partly written file.
 void write_file(const std::string& path, const std::string& content);
 
 }  // namespace synapse::profile

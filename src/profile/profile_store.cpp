@@ -9,6 +9,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <functional>
 #include <iterator>
 #include <list>
 #include <map>
@@ -32,13 +33,36 @@ constexpr const char* kMetaFile = "store.meta.json";
 
 using storedetail::count_profile_files;
 using storedetail::file_exists;
-using storedetail::fnv1a;
 using storedetail::has_profile_suffix;
 using storedetail::unique_tmp_suffix;
+
+/// FNV-1a, chosen over std::hash for a shard routing that is stable
+/// across processes and library versions (it is part of the layout).
+uint64_t fnv1a(const std::string& key) {
+  uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : key) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
 
 std::string index_key(const std::string& command,
                       const std::string& tags_key) {
   return command + '\x1f' + tags_key;
+}
+
+/// Run body(i) for i in [0, count): on the store's task pool when it
+/// has one (threads != 1), serially inline otherwise. Every cross-shard
+/// operation goes through here; bodies lock at most one shard, so
+/// shard-per-task never nests locks.
+void run_on(sys::TaskPool* pool, size_t count,
+            const std::function<void(size_t)>& body) {
+  if (pool == nullptr || count <= 1) {
+    for (size_t i = 0; i < count; ++i) body(i);
+    return;
+  }
+  pool->parallel_for(count, body);
 }
 
 }  // namespace
@@ -89,10 +113,7 @@ struct ProfileStore::Shard {
       return nullptr;
     }
     if (it->second->stamp != stamp) {
-      cache_bytes -= it->second->bytes;
-      lru.erase(it->second);
-      lru_index.erase(it);
-      ++cache_invalidations;
+      cache_invalidate(key);
       ++cache_misses;
       return nullptr;
     }
@@ -440,15 +461,6 @@ size_t ProfileStore::task_threads() const {
   return pool_ == nullptr ? 1 : pool_->thread_count();
 }
 
-void ProfileStore::run_sharded(
-    size_t count, const std::function<void(size_t)>& body) const {
-  if (pool_ == nullptr || count <= 1) {
-    for (size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-  pool_->parallel_for(count, body);
-}
-
 // --- writes ----------------------------------------------------------------
 
 bool ProfileStore::put(const Profile& profile) {
@@ -513,7 +525,7 @@ size_t ProfileStore::put_many(const std::vector<Profile>& profiles,
     }
   } guard{this, &landed, &landed_flags, stored};
 
-  run_sharded(groups.size(), [&](size_t g) {
+  run_on(pool_, groups.size(), [&](size_t g) {
     Shard* shard = groups[g].first;
     std::lock_guard<std::mutex> lock(shard->mutex);
     for (const Pending& pending : *groups[g].second) {
@@ -569,9 +581,10 @@ std::shared_ptr<const std::vector<Profile>> ProfileStore::find_shared(
   const std::string key = index_key(command, tkey);
 
   // Cache entries are validated against the backend's cross-process
-  // version stamp (for the files backend a readdir-sized cost, so only
-  // paid when caching is on); backends with a process-private view
-  // (memory, docstore snapshots) keep a constant stamp.
+  // version stamp (for the files backend one stat(), so only paid when
+  // caching is on); backends with a process-private view (memory,
+  // docstore snapshots) keep a constant stamp. Taken before the read,
+  // so a racing write can only make an entry look older than it is.
   const bool caching = options_.cache_entries_per_shard > 0;
   const uint64_t stamp = caching ? shard.backend->cache_stamp() : 0;
   const size_t max_bytes =
@@ -621,7 +634,7 @@ std::map<std::string, MetricStats> ProfileStore::stats(
 // --- flushing --------------------------------------------------------------
 
 void ProfileStore::flush_all_shards() {
-  run_sharded(shards_.size(), [this](size_t i) {
+  run_on(pool_, shards_.size(), [this](size_t i) {
     Shard& shard = *shards_[i];
     std::lock_guard<std::mutex> lock(shard.mutex);
     shard.backend->flush();
@@ -684,15 +697,10 @@ void ProfileStore::start_flush_worker() {
         f->dirty = 0;
         f->running = true;
         lock.unlock();
-        const auto flush_one = [&shard_ptrs](size_t i) {
+        run_on(pool, shard_ptrs.size(), [&shard_ptrs](size_t i) {
           std::lock_guard<std::mutex> shard_lock(shard_ptrs[i]->mutex);
           shard_ptrs[i]->backend->flush();
-        };
-        if (pool != nullptr && shard_ptrs.size() > 1) {
-          pool->parallel_for(shard_ptrs.size(), flush_one);
-        } else {
-          for (size_t i = 0; i < shard_ptrs.size(); ++i) flush_one(i);
-        }
+        });
         lock.lock();
         f->running = false;
         f->cv.notify_all();
@@ -737,7 +745,7 @@ void ProfileStore::flush_async() {
 
 size_t ProfileStore::size() const {
   std::atomic<size_t> n{0};
-  run_sharded(shards_.size(), [&](size_t i) {
+  run_on(pool_, shards_.size(), [&](size_t i) {
     Shard& shard = *shards_[i];
     std::lock_guard<std::mutex> lock(shard.mutex);
     n.fetch_add(shard.backend->size());
@@ -763,7 +771,7 @@ std::vector<StoredProfileEntry> ProfileStore::list() const {
   // One catalog task per shard; each writes its own slot, so no shared
   // state beyond the pre-sized outer vector.
   std::vector<std::vector<StoredProfileEntry>> per_shard(shards_.size());
-  run_sharded(shards_.size(), [&](size_t i) {
+  run_on(pool_, shards_.size(), [&](size_t i) {
     Shard& shard = *shards_[i];
     std::lock_guard<std::mutex> lock(shard.mutex);
     per_shard[i] = shard.backend->list();

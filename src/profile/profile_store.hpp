@@ -28,7 +28,6 @@
 // limit (store_backend.hpp).
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -224,12 +223,6 @@ class ProfileStore {
   std::vector<Profile> read_from(const Shard& shard,
                                  const std::string& command,
                                  const std::string& tkey) const;
-  /// Run body(i) for i in [0, count) — on the store's task pool when it
-  /// has one (options_.threads != 1), serially inline otherwise. Every
-  /// cross-shard operation goes through here; bodies lock at most one
-  /// shard, so shard-per-task never nests locks.
-  void run_sharded(size_t count,
-                   const std::function<void(size_t)>& body) const;
   void start_flush_worker();
   void flush_all_shards();
   /// Account `n` fresh buffered writes with the flush worker: arms the

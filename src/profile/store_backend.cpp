@@ -1,5 +1,6 @@
 #include "profile/store_backend.hpp"
 
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -8,12 +9,12 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
-#include <optional>
 #include <utility>
 
 #include "docstore/docstore.hpp"
 #include "profile/binary_codec.hpp"
 #include "profile/cluster_backend.hpp"
+#include "profile/export.hpp"
 #include "sys/dir.hpp"
 #include "sys/error.hpp"
 #include "sys/mmap_file.hpp"
@@ -69,20 +70,10 @@ std::string sanitize(const std::string& s) {
   return out.substr(0, 120);
 }
 
-uint64_t fnv1a(const std::string& key) {
-  uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : key) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 }  // namespace storedetail
 
 namespace {
 
-using storedetail::file_exists;
 using storedetail::has_binary_profile_suffix;
 using storedetail::has_profile_suffix;
 using storedetail::sanitize;
@@ -113,6 +104,31 @@ Profile parse_profile_blob(std::shared_ptr<const sys::Blob> blob) {
     return Profile::from_binary_view(std::move(blob));
   }
   return Profile::from_json(json::parse(blob->view()));
+}
+
+/// Identity of a profile or envelope document: its top-level fields.
+StoredProfileEntry doc_identity(const json::Value& doc) {
+  StoredProfileEntry e;
+  e.command = doc.get_or("command", std::string());
+  if (doc.contains("tags")) {
+    for (const auto& t : doc["tags"].as_array()) e.tags.push_back(t.as_string());
+  }
+  e.created_at = doc.get_or("created_at", 0.0);
+  return e;
+}
+
+/// Identity, format and size of a stored blob of either format. SYNB
+/// pays for its JSON header only: a mapped blob touches its first pages.
+StoredProfileEntry blob_identity(std::string_view data) {
+  if (!looks_like_binary_profile(data)) {
+    StoredProfileEntry e = doc_identity(json::parse(data));
+    e.format = "json";
+    e.encoded_bytes = data.size();
+    return e;
+  }
+  BinaryProfileInfo info = decode_binary_identity(data);
+  return StoredProfileEntry{std::move(info.command), std::move(info.tags),
+                            info.created_at, "binary", data.size()};
 }
 
 // --- memory ---------------------------------------------------------------
@@ -173,15 +189,24 @@ class MemoryBackend : public StoreBackend {
 /// before SYNB existed are read alongside them (reads sniff each file's
 /// magic bytes). Writes are link()-claimed so concurrent writers in
 /// other processes or store instances never collide on a sequence
-/// number and readers only ever see complete files.
+/// number and readers only ever see complete files. Every put() (after
+/// its link()) and every remove() that unlinked a file appends one byte
+/// to `.generation` through an O_APPEND fd, so that file's size counts
+/// writes across processes and cache_stamp() is one stat(). Crash
+/// window: a writer killed between link() and the append leaves its
+/// file unannounced; other live instances' cached entries miss it until
+/// the next write to the shard, while cold opens see it at once.
 class FilesBackend : public StoreBackend {
  public:
-  /// Unique token rewritten by every remove(); part of cache_stamp().
-  static constexpr const char* kEpochFile = ".remove.epoch";
   explicit FilesBackend(std::string shard_dir)
-      : directory_(std::move(shard_dir)) {
+      : directory_(std::move(shard_dir)),
+        generation_path_(directory_ + "/.generation") {
     ::mkdir(directory_.c_str(), 0755);
+    open_generation();  // stores from before this file gain it here
   }
+  ~FilesBackend() override { ::close(generation_fd_); }  // -1: just EBADF
+  FilesBackend(const FilesBackend&) = delete;
+  FilesBackend& operator=(const FilesBackend&) = delete;
 
   bool put(const Profile& profile, const std::string& tkey) override {
     const std::string base = directory_ + "/" + sanitize(profile.command) +
@@ -190,7 +215,7 @@ class FilesBackend : public StoreBackend {
     // profile-file read patterns), then claim the next free sequence
     // number with link().
     const std::string tmp = directory_ + "/.tmp-" + unique_tmp_suffix();
-    write_raw(tmp, profile.to_binary());
+    write_file(tmp, profile.to_binary());
     for (size_t seq = 0;; ++seq) {
       const std::string path =
           base + std::to_string(seq) + storedetail::kBinarySuffix;
@@ -202,6 +227,7 @@ class FilesBackend : public StoreBackend {
       }
     }
     ::unlink(tmp.c_str());
+    advance_generation();
     return false;
   }
 
@@ -226,25 +252,16 @@ class FilesBackend : public StoreBackend {
     for (const auto& name : matching_files(command, tkey)) {
       const std::string path = directory_ + "/" + name;
       try {
-        const auto identity = read_identity(path);
-        if (!identity) continue;
-        if (identity->first != command || identity->second != tkey) continue;
+        auto blob = load_profile_blob(path, has_binary_profile_suffix(name));
+        if (!blob) continue;  // racing remove()
+        const StoredProfileEntry id = blob_identity(blob->view());
+        if (id.command != command || store_tags_key(id.tags) != tkey) continue;
       } catch (const std::exception&) {
         continue;  // unreadable file: leave it for diagnosis, not deletion
       }
       if (::unlink(path.c_str()) == 0) ++removed;
     }
-    // A remove-then-put pair inside one filesystem-timestamp tick
-    // restores the profile-file count, so mtime+count alone could
-    // reproduce an old stamp; record a unique removal epoch the stamp
-    // mixes in, so other instances' caches always notice. rename() is
-    // atomic, readers never see a partial epoch.
-    if (removed > 0) {
-      const std::string epoch = directory_ + "/" + kEpochFile;
-      const std::string tmp = directory_ + "/.tmp-" + unique_tmp_suffix();
-      json::save_file(tmp, json::Value(unique_tmp_suffix()), /*indent=*/0);
-      if (::rename(tmp.c_str(), epoch.c_str()) != 0) ::unlink(tmp.c_str());
-    }
+    if (removed > 0) advance_generation();
     return removed;
   }
 
@@ -252,29 +269,18 @@ class FilesBackend : public StoreBackend {
     return storedetail::count_profile_files(directory_);
   }
 
-  /// Cross-process version stamp: directory mtime combined with the
-  /// profile-file count and the removal epoch. The count is monotone
-  /// under puts and every remove() rewrites the epoch, so even a
-  /// count-restoring remove+put pair inside one filesystem-timestamp
-  /// tick changes the stamp.
+  /// (inode, size) of the generation file: the inode tells a recreated
+  /// file from the old one. Valid stamps are even; a failed stat() gives
+  /// an odd value that differs on every call, so it never validates.
   uint64_t cache_stamp() const override {
     struct stat st {};
-    uint64_t stamp = 0;
-    if (::stat(directory_.c_str(), &st) == 0) {
-      stamp = static_cast<uint64_t>(st.st_mtim.tv_sec) * 1000000000ull +
-              static_cast<uint64_t>(st.st_mtim.tv_nsec);
+    if (::stat(generation_path_.c_str(), &st) != 0) {
+      static std::atomic<uint64_t> failures{0};
+      return (failures.fetch_add(1) << 1) | 1u;
     }
-    const std::string epoch = directory_ + "/" + kEpochFile;
-    if (file_exists(epoch)) {
-      try {
-        stamp ^= storedetail::fnv1a(json::dump(json::load_file(epoch)));
-      } catch (const std::exception&) {
-        // Torn/unreadable epoch: fall back to mtime+count alone.
-      }
-    }
-    return stamp ^
-           (storedetail::count_profile_files(directory_) *
-            0x9e3779b97f4a7c15ull);
+    return ((static_cast<uint64_t>(st.st_ino) * 0x9e3779b97f4a7c15ull) ^
+            static_cast<uint64_t>(st.st_size))
+           << 1;
   }
 
   json::Value meta() const override {
@@ -289,75 +295,47 @@ class FilesBackend : public StoreBackend {
       if (!has_profile_suffix(name) && !has_binary_profile_suffix(name)) {
         continue;
       }
-      const std::string path = directory_ + "/" + name;
-      // Identity lives in the SYNB header, so a mapped list() touches
-      // only each file's first pages instead of reading whole blobs.
-      auto blob = load_profile_blob(path, has_binary_profile_suffix(name));
+      auto blob = load_profile_blob(directory_ + "/" + name,
+                                    has_binary_profile_suffix(name));
       if (!blob) continue;  // racing remove()
-      const std::string_view data = blob->view();
-      StoredProfileEntry e;
-      e.encoded_bytes = data.size();
       try {
-        if (looks_like_binary_profile(data)) {
-          BinaryProfileInfo info = decode_binary_identity(data);
-          e.command = std::move(info.command);
-          e.tags = std::move(info.tags);
-          e.created_at = info.created_at;
-          e.format = "binary";
-        } else {
-          const json::Value v = json::parse(data);
-          e.command = v.get_or("command", std::string());
-          if (v.contains("tags")) {
-            for (const auto& t : v["tags"].as_array()) {
-              e.tags.push_back(t.as_string());
-            }
-          }
-          e.created_at = v.get_or("created_at", 0.0);
-          e.format = "json";
-        }
+        out.push_back(blob_identity(blob->view()));
       } catch (const std::exception&) {
         continue;  // unreadable file: absent from the catalog
       }
-      out.push_back(std::move(e));
     }
     return out;
   }
 
  private:
-  /// (command, tags_key) of a stored file, header/top-level fields
-  /// only. nullopt when the file vanished (racing remove()).
-  std::optional<std::pair<std::string, std::string>> read_identity(
-      const std::string& path) const {
-    auto blob =
-        load_profile_blob(path, has_binary_profile_suffix(path));
-    if (!blob) return std::nullopt;
-    const std::string_view data = blob->view();
-    if (looks_like_binary_profile(data)) {
-      BinaryProfileInfo info = decode_binary_identity(data);
-      return std::make_pair(std::move(info.command),
-                            store_tags_key(info.tags));
-    }
-    const json::Value v = json::parse(data);
-    std::vector<std::string> tags;
-    if (v.contains("tags")) {
-      for (const auto& t : v["tags"].as_array()) tags.push_back(t.as_string());
-    }
-    return std::make_pair(v.get_or("command", std::string()),
-                          store_tags_key(tags));
+  /// Open the generation file for appends, creating it if missing, and
+  /// remember which inode the fd holds.
+  void open_generation() {
+    if (generation_fd_ >= 0) ::close(generation_fd_);
+    generation_fd_ = ::open(generation_path_.c_str(),
+                            O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
+    struct stat st {};
+    generation_ino_ = generation_fd_ >= 0 && ::fstat(generation_fd_, &st) == 0
+                          ? st.st_ino
+                          : 0;
   }
 
-  static void write_raw(const std::string& path, const std::string& bytes) {
-    FILE* f = ::fopen(path.c_str(), "wb");
-    if (f == nullptr) {
-      throw sys::SystemError("fopen(" + path + ")", errno);
+  /// Append one byte to the generation file. If the path no longer
+  /// names the file the fd holds (deleted or replaced since open),
+  /// reopen it and append there, where other instances stat. If no
+  /// append lands, unlink the path: readers' stat() then fails and they
+  /// miss until a later write recreates the file.
+  void advance_generation() {
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      struct stat st {};
+      if (generation_fd_ >= 0 && ::write(generation_fd_, "+", 1) == 1 &&
+          ::stat(generation_path_.c_str(), &st) == 0 &&
+          st.st_ino == generation_ino_) {
+        return;
+      }
+      open_generation();
     }
-    const size_t written = ::fwrite(bytes.data(), 1, bytes.size(), f);
-    const bool ok = written == bytes.size() && ::fclose(f) == 0;
-    if (!ok) {
-      if (written != bytes.size()) ::fclose(f);
-      ::unlink(path.c_str());
-      throw sys::SystemError("write(" + path + ")", errno);
-    }
+    ::unlink(generation_path_.c_str());
   }
 
   std::vector<std::string> matching_files(const std::string& command,
@@ -374,6 +352,9 @@ class FilesBackend : public StoreBackend {
   }
 
   std::string directory_;
+  std::string generation_path_;
+  int generation_fd_ = -1;
+  ino_t generation_ino_ = 0;
 };
 
 }  // namespace
@@ -390,13 +371,15 @@ bool DocStoreShardBackend::put(const Profile& profile,
   // Envelope document: the SYNB blob rides as base64, the query fields
   // stay plain top-level members so FieldEquals lookups work identically
   // for both document shapes.
-  const std::string blob = profile.to_binary();
   // The docstore enforces its 16 MB document limit by trimming the
   // largest array (paper section 4.5) — a base64 string offers it
   // nothing to trim, so an envelope that cannot fit falls back to the
   // plain JSON document and inherits the documented sample-array
-  // truncation instead of a hard failure.
-  if (blob.size() / 3 * 4 + 4096 < docstore::kMaxDocumentBytes) {
+  // truncation instead of a hard failure. The blob size decides that
+  // before anything is encoded.
+  if (encoded_binary_size(profile) / 3 * 4 + 4096 <
+      docstore::kMaxDocumentBytes) {
+    const std::string blob = profile.to_binary();
     json::Object doc;
     doc["command"] = profile.command;
     json::Array jtags;
@@ -441,14 +424,7 @@ std::vector<Profile> DocStoreShardBackend::read(
 std::vector<StoredProfileEntry> DocStoreShardBackend::list() const {
   std::vector<StoredProfileEntry> out;
   for (const auto& doc : store_->collection("profiles").all()) {
-    StoredProfileEntry e;
-    e.command = doc.get_or("command", std::string());
-    if (doc.contains("tags")) {
-      for (const auto& t : doc["tags"].as_array()) {
-        e.tags.push_back(t.as_string());
-      }
-    }
-    e.created_at = doc.get_or("created_at", 0.0);
+    StoredProfileEntry e = doc_identity(doc);
     if (doc.contains("synb")) {
       e.format = "binary";
       // Stored size is the decoded blob, not its base64 inflation —

@@ -209,10 +209,6 @@ size_t count_profile_files(const std::string& dir);
 
 /// Filesystem-safe mangling of commands/tags for file names.
 std::string sanitize(const std::string& s);
-
-/// FNV-1a, chosen over std::hash for stable on-disk layouts across
-/// processes and library versions (shard routing, cache stamps).
-uint64_t fnv1a(const std::string& key);
 }  // namespace storedetail
 
 }  // namespace synapse::profile

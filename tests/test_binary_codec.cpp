@@ -116,6 +116,16 @@ TEST(BinaryCodec, BinaryIsAtMostHalfOfCompactJsonOnCatalog) {
       << synb_bytes << " binary vs " << json_bytes << " JSON bytes";
 }
 
+TEST(BinaryCodec, EncodedSizeMatchesTheEncoderWithoutEncoding) {
+  // Catalog, presence-bitmap holes, gate params, the empty profile and
+  // an adaptively recorded one: the sizing walk agrees with encode.
+  for (const auto& g : delta_golden::golden_profiles()) {
+    EXPECT_EQ(profile::encoded_binary_size(g.profile),
+              g.profile.to_binary().size())
+        << g.label;
+  }
+}
+
 TEST(BinaryCodec, SniffsMagic) {
   const profile::Profile p = fixture_profiles().front();
   EXPECT_TRUE(profile::looks_like_binary_profile(p.to_binary()));

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -174,6 +175,39 @@ TEST(Cli, ClusterStoreEndToEnd) {
   EXPECT_NE(output.find("instance a"), std::string::npos);
   EXPECT_NE(output.find("instance b"), std::string::npos);
   std::system(("rm -rf " + base).c_str());
+  ::unlink(out.c_str());
+  ::unlink((out + ".err").c_str());
+}
+
+TEST(Cli, ProfileAndEmulateOpenAStoreWithTheBackendItRecords) {
+  // Without --store-backend, synapse-profile and synapse-emulate open an
+  // existing store with the backend its meta file records, the rule
+  // synapse-inspect follows: a docstore store works without the flag.
+  const std::string store = "/tmp/synapse_cli_recorded_backend";
+  const std::string out = "/tmp/synapse_cli_recorded_backend_out.txt";
+  std::filesystem::remove_all(store);
+  std::filesystem::copy(
+      SYNAPSE_TEST_FIXTURE_DIR "/legacy_json_store/docstore", store,
+      std::filesystem::copy_options::recursive);
+
+  auto status = run_tool({SYNAPSE_EMULATE_BIN, "--store", store, "--tag",
+                          "fmt", "--kernel", "sleep", "--", "legacy-a"},
+                         out);
+  ASSERT_TRUE(status.success()) << slurp(out + ".err");
+  EXPECT_NE(slurp(out).find("emulated: legacy-a"), std::string::npos);
+
+  status = run_tool({SYNAPSE_PROFILE_BIN, "--store", store, "--rate", "20",
+                     "--", "sleep", "0.1"},
+                    out);
+  ASSERT_TRUE(status.success()) << slurp(out + ".err");
+
+  status = run_tool({SYNAPSE_INSPECT_BIN, "--store", store, "--stats",
+                     "show", "--", "sleep", "0.1"},
+                    out);
+  ASSERT_TRUE(status.success()) << slurp(out + ".err");
+  EXPECT_NE(slurp(out).find("backend             : docstore"),
+            std::string::npos);
+  std::filesystem::remove_all(store);
   ::unlink(out.c_str());
   ::unlink((out + ".err").c_str());
 }

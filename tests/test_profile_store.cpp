@@ -632,6 +632,49 @@ TEST(ProfileStoreFormat, ListedBytesAreTheSynbBlobSize) {
   }
 }
 
+TEST(ProfileStoreFormat, DocstoreEnvelopeLimitIsDecidedAtTheExactBlobSize) {
+  // The envelope is kept while blob/3*4 + 4096 < the document limit. A
+  // long watcher name sets the SYNB blob size to the byte: the largest
+  // size that still fits lands as SYNB, one byte more as plain JSON
+  // (small enough that the docstore keeps it whole).
+  constexpr size_t kLimit = synapse::docstore::kMaxDocumentBytes;
+  const size_t fits = ((kLimit - 4096 - 1) / 4) * 3 + 2;
+  ASSERT_LT(fits / 3 * 4 + 4096, kLimit);
+  ASSERT_GE((fits + 1) / 3 * 4 + 4096, kLimit);
+  const auto sized_profile = [](const std::string& command, size_t bytes) {
+    profile::Profile p = make_profile(command, {"edge"}, 1, 1.0);
+    p.series.emplace_back();
+    const size_t framing = p.to_binary().size();
+    p.series.back().watcher.assign(bytes - framing, 'w');
+    return p;
+  };
+  const profile::Profile under = sized_profile("under", fits);
+  const profile::Profile over = sized_profile("over", fits + 1);
+  ASSERT_EQ(under.to_binary().size(), fits);
+  ASSERT_EQ(over.to_binary().size(), fits + 1);
+
+  const std::string dir = "/tmp/synapse_store_fmt_envelope_edge";
+  std::system(("rm -rf " + dir).c_str());
+  {
+    profile::ProfileStore store("docstore", dir);
+    EXPECT_FALSE(store.put(under));
+    EXPECT_FALSE(store.put(over));
+    std::map<std::string, std::string> formats;
+    for (const auto& e : store.list()) formats[e.command] = e.format;
+    EXPECT_EQ(formats["under"], "binary");
+    EXPECT_EQ(formats["over"], "json");
+    store.flush();
+  }
+  profile::ProfileStore store("docstore", dir);  // cold: parses the file
+  for (const auto* p : {&under, &over}) {
+    const auto found = store.find_latest(p->command, p->tags);
+    ASSERT_TRUE(found.has_value()) << p->command;
+    ASSERT_EQ(found->series.size(), 1u);
+    EXPECT_EQ(found->series[0].watcher, p->series[0].watcher);
+  }
+  std::system(("rm -rf " + dir).c_str());
+}
+
 TEST(ProfileStoreFormat, OversizeDocstorePutFallsBackToTruncatedJson) {
   // The one JSON write left: a SYNB envelope that cannot fit the 16 MB
   // document limit is stored as the plain JSON document, which the

@@ -441,3 +441,66 @@ TEST(ProfileStoreConcurrencyCross, TwoInstancesWriteTheSameFilesStore) {
   }
   std::system(("rm -rf " + dir).c_str());
 }
+
+TEST(ProfileStoreConcurrencyCross, ReadersSeeEveryAcknowledgedWriteOfAnotherInstance) {
+  // Two instances over one files store model two processes. B runs a
+  // fixed schedule: op k puts a profile recorded at k, except every
+  // kRemoveEvery-th op, which removes the workload. After B acknowledges
+  // op k, any find that A's readers START must reflect it: a put k shows
+  // a latest recording >= k (unless a later remove already began), and
+  // a remove k shows nothing recorded before k. A stale cache hit breaks
+  // one of the two.
+  const std::string dir = "/tmp/synapse_store_conc_xread";
+  std::system(("rm -rf " + dir).c_str());
+  {
+    profile::ProfileStore a("files", dir);
+    profile::ProfileStore b("files", dir);
+    constexpr int kOps = 300;
+    constexpr int kRemoveEvery = 16;
+    constexpr int kReaders = 3;
+    const auto is_remove = [](int k) { return k % kRemoveEvery == 0; };
+    std::atomic<int> acked{0};
+    std::atomic<size_t> checked{0};
+    std::atomic<size_t> violations{0};
+
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&] {
+        while (true) {
+          const int k = acked.load(std::memory_order_acquire);
+          const auto latest = a.find_latest_shared("xread", {"x"});
+          const int after = acked.load(std::memory_order_acquire);
+          const double seen = latest ? latest->created_at : -1.0;
+          if (k > 0 && is_remove(k)) {
+            // Everything recorded before k is gone for good.
+            if (latest && seen < k) violations.fetch_add(1);
+            checked.fetch_add(1);
+          } else if (k > 0) {
+            bool remove_began = false;
+            for (int j = k + 1; j <= after + 1; ++j) {
+              remove_began = remove_began || is_remove(j);
+            }
+            if (!remove_began) {
+              if (seen < k) violations.fetch_add(1);
+              checked.fetch_add(1);
+            }
+          }
+          if (after == kOps) return;
+        }
+      });
+    }
+    for (int k = 1; k <= kOps; ++k) {
+      if (is_remove(k)) {
+        b.remove("xread", {"x"});
+      } else {
+        b.put(make_profile("xread", {"x"}, k, static_cast<double>(k)));
+      }
+      acked.store(k, std::memory_order_release);
+    }
+    for (auto& t : readers) t.join();
+
+    EXPECT_EQ(violations.load(), 0u);
+    EXPECT_GT(checked.load(), 0u);
+  }
+  std::system(("rm -rf " + dir).c_str());
+}

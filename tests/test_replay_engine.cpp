@@ -476,6 +476,48 @@ profile::Profile variable_profile(const std::vector<double>& offsets) {
 
 }  // namespace
 
+namespace {
+
+constexpr const char* kBusyMetric = "test.busy_s";
+
+/// Atom that stays busy for the recorded seconds of kBusyMetric in each
+/// row: a replay whose rows each take their full recorded period.
+class BusyAtom final : public atoms::Atom {
+ public:
+  BusyAtom() : Atom("busy") {}
+
+  bool wants(const profile::SampleDelta& delta) const override {
+    return delta.get(kBusyMetric) > 0;
+  }
+  void consume(const profile::SampleDelta& delta) override {
+    sys::sleep_for(delta.get(kBusyMetric));
+    stats_.samples_consumed += 1;
+  }
+};
+
+/// Fixed-rate profile recorded the way watchers record: the first sample
+/// at the start of the run, then one per period, each period fully busy.
+/// Row 0 carries nothing; rows 1..rows-1 carry one period of work each,
+/// so the recorded span is (rows - 1) periods.
+profile::Profile busy_profile(size_t rows, double period) {
+  profile::Profile p;
+  p.command = "busy";
+  p.sample_rate_hz = 1.0 / period;
+  profile::TimeSeries ts;
+  ts.watcher = "busy";
+  ts.sample_rate_hz = p.sample_rate_hz;
+  for (size_t i = 0; i < rows; ++i) {
+    profile::Sample s;
+    s.timestamp = 100.0 + static_cast<double>(i) * period;
+    s.set(kBusyMetric, static_cast<double>(i) * period);
+    ts.samples.push_back(std::move(s));
+  }
+  p.series.push_back(std::move(ts));
+  return p;
+}
+
+}  // namespace
+
 TEST(ReplayPacing, ParsesAndNamesRoundTrip) {
   EXPECT_EQ(emulator::replay_pace_from_string("auto"),
             emulator::ReplayPace::Auto);
@@ -542,16 +584,48 @@ TEST(ReplayPacing, OnForcesPacingForFixedRateProfiles) {
   emulator::ReplayEngine engine(opts);
   sys::Stopwatch watch;
   const auto r = engine.replay(p);
-  // Samples 1..3 each wait one 0.1 s period behind the previous.
+  // Rows 2..3 are released one 0.1 s period apart, at the start of
+  // their recorded periods, and the replay lasts the 0.3 s recorded span.
   EXPECT_GE(watch.elapsed(), 0.25);
   EXPECT_EQ(r.samples_replayed, 4u);
+}
+
+TEST(ReplayPacing, PacedReplayOfFullyBusyPeriodsEndsAtTheRecordedSpan) {
+  // Each row's work starts at the start of its recorded period, so a
+  // replay whose rows take their full period ends with the recorded
+  // span: no earlier (pacing waits out an idle tail) and no period
+  // later (the release point is the period's start, not its end).
+  constexpr size_t kRows = 6;
+  constexpr double kPeriod = 0.1;
+  const double span = (kRows - 1) * kPeriod;
+  const auto p = busy_profile(kRows, kPeriod);
+  atoms::AtomRegistry registry;
+  registry.register_atom("busy", [](const atoms::AtomBuildContext&) {
+    return std::make_unique<BusyAtom>();
+  });
+  for (const size_t batch : {1u, 2u}) {
+    SCOPED_TRACE("replay_batch " + std::to_string(batch));
+    auto opts = tmp_options();
+    opts.atom_set = {"busy"};
+    opts.pace = emulator::ReplayPace::On;
+    opts.replay_batch = batch;
+    emulator::ReplayEngine engine(opts, &registry);
+    sys::Stopwatch watch;
+    const auto r = engine.replay(p);
+    const double elapsed = watch.elapsed();
+    EXPECT_GE(elapsed, span);
+    EXPECT_LT(elapsed, span + kPeriod / 2);
+    EXPECT_EQ(r.samples_replayed, kRows);
+    EXPECT_EQ(r.atom_stats.at("busy").samples_consumed, kRows - 1);
+  }
 }
 
 TEST(ReplayPacing, BatchedFeedPacesAtBatchGranularity) {
   HostGuard guard;
   // The idle gap lands on a batch boundary: batches are {s0,s1} and
-  // {s2,s3}, and the second batch's FIRST sample carries the 0.42 s
-  // recorded offset — batch-granularity pacing must wait for it.
+  // {s2,s3}, and the gap is the recorded period of the second batch's
+  // FIRST sample. Batch-granularity pacing releases that batch when the
+  // period starts (0.01 s) and must not finish before the 0.43 s span.
   const auto p = variable_profile({0.0, 0.01, 0.42, 0.43});
   auto opts = tmp_options();
   opts.atom_set = {"storage"};
@@ -559,7 +633,7 @@ TEST(ReplayPacing, BatchedFeedPacesAtBatchGranularity) {
   emulator::ReplayEngine engine(opts);
   sys::Stopwatch watch;
   const auto r = engine.replay(p);
-  // The final batch is released at the 0.42 s recorded offset.
+  // The replay lasts the recorded span, idle gap included.
   EXPECT_GE(watch.elapsed(), 0.3);
   EXPECT_EQ(r.samples_replayed, 4u);
   EXPECT_EQ(r.storage.bytes_written, 4u * 1024);

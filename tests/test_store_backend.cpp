@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 
@@ -233,6 +234,91 @@ TEST(StoreBackend, FilesCacheSeesRemovesFromOtherStoreInstances) {
     const auto seen = a.find("victim");
     ASSERT_EQ(seen.size(), 1u);
     EXPECT_DOUBLE_EQ(seen[0].created_at, 2.0);  // the NEW profile
+  }
+  std::system(("rm -rf " + dir).c_str());
+}
+
+namespace {
+
+/// A one-shard files store, so its generation file has a known path.
+profile::ProfileStore one_shard_files_store(const std::string& dir) {
+  profile::ProfileStoreOptions options;
+  options.backend = "files";
+  options.directory = dir;
+  options.shards = 1;
+  return profile::ProfileStore(std::move(options));
+}
+
+size_t file_size(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  return in ? static_cast<size_t>(in.tellg()) : 0;
+}
+
+}  // namespace
+
+TEST(StoreBackend, FilesCacheHitsOnEveryRepeatLookupWithoutWrites) {
+  const std::string dir = "/tmp/synapse_store_gen_hits";
+  std::system(("rm -rf " + dir).c_str());
+  {
+    profile::ProfileStore a = one_shard_files_store(dir);
+    a.put(make_profile("steady", {"s"}, 1, 1.0));
+    ASSERT_NE(a.find_latest_shared("steady", {"s"}), nullptr);  // fill
+    // Opening another instance creates nothing and writes nothing.
+    profile::ProfileStore b = one_shard_files_store(dir);
+    const auto before = a.cache_stats();
+    constexpr size_t kLookups = 50;
+    for (size_t i = 0; i < kLookups; ++i) {
+      ASSERT_NE(a.find_latest_shared("steady", {"s"}), nullptr);
+    }
+    const auto after = a.cache_stats();
+    EXPECT_EQ(after.hits - before.hits, kLookups);
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.invalidations, before.invalidations);
+  }
+  std::system(("rm -rf " + dir).c_str());
+}
+
+TEST(StoreBackend, FilesGenerationFileDeletedOrReplacedNeverServesStaleHit) {
+  const std::string dir = "/tmp/synapse_store_gen_lost";
+  const std::string generation = dir + "/shard-0/.generation";
+  std::system(("rm -rf " + dir).c_str());
+  {
+    profile::ProfileStore a = one_shard_files_store(dir);
+    profile::ProfileStore b = one_shard_files_store(dir);
+    a.put(make_profile("gen", {}, 1, 1.0));
+    ASSERT_EQ(a.find("gen").size(), 1u);  // fills A's cache
+
+    // Deleted: lookups cannot validate anything, so none of them hits,
+    // and a write by another instance shows at once.
+    ASSERT_EQ(std::remove(generation.c_str()), 0);
+    const auto before = a.cache_stats();
+    EXPECT_EQ(a.find("gen").size(), 1u);
+    EXPECT_EQ(a.find("gen").size(), 1u);
+    EXPECT_EQ(a.cache_stats().hits, before.hits);
+    b.put(make_profile("gen", {}, 2, 2.0));
+    EXPECT_EQ(a.find("gen").size(), 2u);
+    // That write recreated the file, so hits resume.
+    ASSERT_GT(file_size(generation), 0u);
+    const size_t hits = a.cache_stats().hits;
+    EXPECT_EQ(a.find("gen").size(), 2u);
+    EXPECT_EQ(a.cache_stats().hits, hits + 1);
+
+    // Replaced by a file of the same size: the inode differs, so the
+    // cached entry is not trusted, and a later write by an instance that
+    // opened the old file still lands in the new one.
+    const std::string tmp = generation + ".replacement";
+    {
+      std::ofstream out(tmp, std::ios::binary);
+      out << std::string(file_size(generation), '+');
+    }
+    ASSERT_EQ(std::rename(tmp.c_str(), generation.c_str()), 0);
+    EXPECT_EQ(a.find("gen").size(), 2u);  // refills under the new stamp
+    b.remove("gen", {});
+    EXPECT_TRUE(a.find("gen").empty());
+    b.put(make_profile("gen", {}, 3, 3.0));
+    const auto seen = a.find("gen");
+    ASSERT_EQ(seen.size(), 1u);
+    EXPECT_DOUBLE_EQ(seen[0].created_at, 3.0);
   }
   std::system(("rm -rf " + dir).c_str());
 }
