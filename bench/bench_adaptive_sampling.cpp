@@ -19,6 +19,7 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "sys/clock.hpp"
@@ -68,10 +69,10 @@ profile::Profile run_mode(watchers::SchedulerMode mode, const Phases& ph) {
 size_t burst_samples(const profile::Profile& p, const Phases& ph) {
   const auto* cpu = p.find_series("cpu");
   if (cpu == nullptr || cpu->empty()) return 0;
-  const double t0 = cpu->samples.front().timestamp;
+  const std::vector<double>& t = cpu->samples.timestamps();
   size_t n = 0;
-  for (const auto& s : cpu->samples) {
-    const double rel = s.timestamp - t0;
+  for (const double ts : t) {
+    const double rel = ts - t.front();
     if (rel >= ph.idle_s && rel <= ph.idle_s + ph.burst_s + ph.hold_s) ++n;
   }
   return n;

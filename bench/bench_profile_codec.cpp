@@ -7,8 +7,8 @@
 //   dump    - Profile::to_json + json::dump (compact)
 //   encode  - Profile::to_binary (SYNB)
 //   parse   - json::parse (heap DOM) + Profile::from_json
-//   decode  - Profile::from_binary (includes the payload copy a store
-//             read would make)
+//   decode  - Profile::from_binary (copies the columns out of the blob,
+//             as a store read does)
 //
 // plus the encoded sizes and the binary/json size ratio — the codec's
 // acceptance bar is ratio <= 0.50 on catalog profiles. The TOTAL row

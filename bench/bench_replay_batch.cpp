@@ -83,9 +83,9 @@ void dispatch_bound_section(size_t samples) {
   spec.source.sample_rate_hz = 100.0;
   spec.source.deltas[std::string(m::kMemAllocated)] = 1024.0;
   spec.source.deltas[std::string(m::kMemFreed)] = 1024.0;
-  // SYNB round trip: a stored profile arrives with its binary payload,
-  // so the plan builds its columnar table straight off the
-  // decode_columns() views — no SampleDelta maps anywhere.
+  // SYNB round trip: a stored profile decodes into columns, and the
+  // plan builds its delta table straight off them — no SampleDelta maps
+  // anywhere.
   const profile::Profile p =
       profile::Profile::from_binary(spec.make_profile().to_binary());
   const double n = static_cast<double>(spec.source.samples);

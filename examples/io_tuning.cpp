@@ -22,10 +22,8 @@ synapse::profile::Profile write_heavy_profile() {
   synapse::profile::TimeSeries io;
   io.watcher = "io";
   for (int i = 0; i < 2; ++i) {
-    synapse::profile::Sample s;
-    s.timestamp = 100.0 + i * 0.1;
-    s.set(m::kBytesWritten, (i + 1) * 4.0 * 1024 * 1024);
-    io.samples.push_back(std::move(s));
+    const size_t row = io.samples.add_row(100.0 + i * 0.1);
+    io.samples.set(row, m::kBytesWritten, (i + 1) * 4.0 * 1024 * 1024);
   }
   p.series.push_back(std::move(io));
   return p;

@@ -60,11 +60,13 @@ InsertResult Collection::insert(json::Value doc) {
     throw json::JsonError("docstore: only object documents are supported");
   }
   InsertResult result;
-  std::string serialized = json::dump(doc);
   // Reproduce the MongoDB 16 MB cap: trim the largest array until the
   // document fits. This is what loses the final sample of the largest
-  // Fig. 4 run in the paper.
-  while (serialized.size() > kMaxDocumentBytes) {
+  // Fig. 4 run in the paper. The document is dumped once; every dropped
+  // tail element takes its own compact dump and its ',' separator off
+  // the running size.
+  size_t size = json::dump(doc).size();
+  while (size > kMaxDocumentBytes) {
     json::Array* arr = largest_array(doc);
     if (arr == nullptr || arr->empty()) {
       throw json::JsonError(
@@ -72,16 +74,19 @@ InsertResult Collection::insert(json::Value doc) {
     }
     // Drop a proportional chunk from the tail to converge quickly, but at
     // least one element.
-    const size_t overshoot = serialized.size() - kMaxDocumentBytes;
-    const size_t avg_elem = std::max<size_t>(1, serialized.size() / std::max<size_t>(1, arr->size()));
-    const size_t drop = std::max<size_t>(1, overshoot / avg_elem);
-    arr->resize(arr->size() - std::min(drop, arr->size()));
+    const size_t overshoot = size - kMaxDocumentBytes;
+    const size_t avg_elem = std::max<size_t>(1, size / arr->size());
+    const size_t drop =
+        std::min(std::max<size_t>(1, overshoot / avg_elem), arr->size());
+    for (size_t i = 0; i < drop; ++i) {
+      size -= json::dump(arr->back()).size() + (arr->size() > 1 ? 1 : 0);
+      arr->pop_back();
+    }
     result.truncated = true;
-    serialized = json::dump(doc);
   }
   std::lock_guard lock(mutex_);
   result.id = next_id_++;
-  result.stored_bytes = serialized.size();
+  result.stored_bytes = size;
   doc["_id"] = result.id;
   docs_[result.id] = std::move(doc);
   return result;

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <map>
-#include <set>
 
 namespace synapse::profile {
 
@@ -51,6 +49,25 @@ double load_f64(const char* p) {
   return v;
 }
 
+/// Copy `n` little-endian f64s out of `src` into `dst`; one memcpy on
+/// little-endian hosts.
+void load_f64s(const char* src, size_t n, double* dst) {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+  if (n > 0) std::memcpy(dst, src, n * sizeof(double));
+#else
+  for (size_t i = 0; i < n; ++i) dst[i] = load_f64(src + 8 * i);
+#endif
+}
+
+void put_f64s(std::string& out, const std::vector<double>& values) {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+  out.append(reinterpret_cast<const char*>(values.data()),
+             values.size() * sizeof(double));
+#else
+  for (const double v : values) put_f64(out, v);
+#endif
+}
+
 /// Bounds-checked reader over an encoded blob. All decode paths funnel
 /// through need(), so any truncation throws with the offset and the
 /// field being read instead of running off the buffer.
@@ -89,10 +106,7 @@ class Cursor {
   }
 
   std::string_view bytes(uint64_t n, const char* what) {
-    need(n, what);
-    const std::string_view v = data_.substr(off_, n);
-    off_ += n;
-    return v;
+    return {raw(n, what), static_cast<size_t>(n)};
   }
 
   /// Advance past n bytes, returning a pointer to their start.
@@ -146,7 +160,7 @@ std::string encode_header(const Profile& p) {
 
 struct ContainerHead {
   std::string_view header;  ///< raw JSON header text
-  uint32_t version = 0;     ///< drives per-series framing in read_columns
+  uint32_t version = 0;     ///< drives per-series framing in read_series
 };
 
 /// Validate magic + version and position the cursor on the series
@@ -169,35 +183,168 @@ ContainerHead open_container(Cursor& c) {
   return {c.bytes(header_len, "JSON header"), version};
 }
 
+size_t present_count(const MetricColumn& c) {
+  return static_cast<size_t>(std::count(c.present.begin(), c.present.end(), 1));
+}
+
+/// Encoded size of everything after the JSON header.
+size_t series_bytes(const Profile& p) {
+  size_t bytes = 4;  // series count
+  for (const auto& ts : p.series) {
+    const size_t count = ts.size();
+    // Framing, flags, gate, metric and sample counts, timestamps.
+    bytes += 4 + ts.watcher.size() + 8 + 1 + (ts.gate.any() ? 32 : 0) + 8 +
+             count * 8;
+    for (const auto& c : ts.samples.metrics()) {
+      const size_t n = present_count(c);
+      bytes += 4 + c.name.size() + 1 + (n == count ? 0 : (count + 7) / 8) + 4 +
+               n * 8;
+    }
+  }
+  return bytes;
+}
+
+/// The series framing, with every column copied out: header already
+/// consumed, cursor at series_count. `version` selects the per-series
+/// framing (v1 has no flags byte).
+std::vector<TimeSeries> read_series(Cursor& c, uint32_t version) {
+  const uint32_t series_count = c.u32("series count");
+  // Bound the reserve by what the payload could possibly frame (each
+  // series costs >= 20 bytes) so a corrupt count throws CodecError
+  // instead of attempting a multi-gigabyte allocation.
+  c.need(static_cast<uint64_t>(series_count) * 20, "series table");
+  std::vector<TimeSeries> out;
+  out.reserve(series_count);
+  for (uint32_t si = 0; si < series_count; ++si) {
+    TimeSeries ts;
+    ts.watcher = std::string(read_string(c, "watcher name"));
+    ts.sample_rate_hz = c.f64("series rate");
+    if (version >= 2) {
+      const uint8_t flags = c.u8("series flags");
+      if (flags > 3) {
+        throw CodecError("corrupt SYNB container: series flags " +
+                         std::to_string(flags) + " at offset " +
+                         std::to_string(c.offset() - 1));
+      }
+      ts.variable_rate = (flags & 1u) != 0;
+      if ((flags & 2u) != 0) {
+        ts.gate.floor_hz = c.f64("gate floor_hz");
+        ts.gate.burst_hz = c.f64("gate burst_hz");
+        ts.gate.open_threshold = c.f64("gate open_threshold");
+        ts.gate.close_hold_s = c.f64("gate close_hold_s");
+      }
+    }
+    const uint32_t metric_count = c.u32("metric count");
+    // Same guard: every metric needs >= 9 framing bytes downstream.
+    c.need(static_cast<uint64_t>(metric_count) * 9, "metric table");
+    std::vector<std::string_view> names(metric_count);
+    for (uint32_t k = 0; k < metric_count; ++k) {
+      names[k] = read_string(c, "metric name");
+      if (k > 0 && !(names[k - 1] < names[k])) {
+        throw CodecError("corrupt SYNB container: metric \"" +
+                         std::string(names[k]) + "\" out of sorted order at " +
+                         "offset " + std::to_string(c.offset()));
+      }
+    }
+    const uint32_t n = c.u32("sample count");
+    const char* raw_timestamps =
+        c.raw(static_cast<uint64_t>(n) * 8, "timestamp column");
+    std::vector<double> timestamps(n);
+    load_f64s(raw_timestamps, n, timestamps.data());
+
+    std::vector<MetricColumn> metrics;
+    metrics.reserve(metric_count);
+    for (const std::string_view name : names) {
+      const uint8_t dense = c.u8("density flag");
+      if (dense > 1) {
+        throw CodecError("corrupt SYNB container: density flag " +
+                         std::to_string(dense) + " at offset " +
+                         std::to_string(c.offset() - 1));
+      }
+      const char* presence =
+          dense ? nullptr
+                : c.raw((static_cast<uint64_t>(n) + 7) / 8, "presence bitmap");
+      const uint32_t value_count = c.u32("value count");
+      if (value_count > n) {
+        throw CodecError("corrupt SYNB container: metric \"" +
+                         std::string(name) + "\" has " +
+                         std::to_string(value_count) + " values for " +
+                         std::to_string(n) + " samples");
+      }
+      if (dense && value_count != n) {
+        throw CodecError("corrupt SYNB container: dense metric \"" +
+                         std::string(name) + "\" has " +
+                         std::to_string(value_count) + " values for " +
+                         std::to_string(n) + " samples");
+      }
+      const char* values = c.raw(static_cast<uint64_t>(value_count) * 8,
+                                 "metric value column");
+      MetricColumn m;
+      m.name = std::string(name);
+      if (dense) {
+        m.values.resize(n);
+        load_f64s(values, n, m.values.data());
+        m.present.assign(n, 1);
+      } else {
+        m.values.assign(n, 0.0);
+        m.present.assign(n, 0);
+        size_t cursor = 0;
+        for (size_t i = 0; i < n; ++i) {
+          if (((static_cast<unsigned char>(presence[i >> 3]) >> (i & 7)) &
+               1u) == 0) {
+            continue;
+          }
+          if (cursor >= value_count) {
+            throw CodecError("corrupt SYNB container: metric \"" + m.name +
+                             "\" presence bitmap claims more values than the " +
+                             "column holds (" + std::to_string(value_count) +
+                             ")");
+          }
+          m.values[i] = load_f64(values + 8 * cursor++);
+          m.present[i] = 1;
+        }
+        if (cursor != value_count) {
+          throw CodecError("corrupt SYNB container: metric \"" + m.name +
+                           "\" column holds " + std::to_string(value_count) +
+                           " values but the presence bitmap selects " +
+                           std::to_string(cursor));
+        }
+      }
+      // A column no row records carries nothing (and the encoder never
+      // writes one); every kept column records at least one row.
+      if (value_count > 0) metrics.push_back(std::move(m));
+    }
+    ts.samples = SampleColumns(std::move(timestamps), std::move(metrics));
+    out.push_back(std::move(ts));
+  }
+  if (!c.done()) {
+    throw CodecError("corrupt SYNB container: " +
+                     std::to_string(c.offset()) + " byte(s) decoded, " +
+                     "trailing garbage follows");
+  }
+  return out;
+}
+
 }  // namespace
 
 bool looks_like_binary_profile(std::string_view data) {
   return data.size() >= 4 && std::memcmp(data.data(), kBinaryMagic, 4) == 0;
 }
 
-std::string encode_binary(const Profile& p) {
-  std::string out;
-  const std::string header = encode_header(p);
-
-  // Framing + header + per-series fixed parts; the f64 columns dominate,
-  // so reserve for them up front.
-  size_t estimate = 12 + header.size() + 4;
-  for (const auto& ts : p.series) {
-    estimate += 64 + ts.watcher.size() + ts.samples.size() * 8;
-  }
-  estimate += p.sample_count() * 4 * 8;  // rough metric-column volume
-  out.reserve(estimate);
-
-  out.append(kBinaryMagic, 4);
-  put_u32(out, kBinaryVersion);
+std::string Profile::to_binary() const {
+  const std::string header = encode_header(*this);
   if (header.size() > std::numeric_limits<uint32_t>::max()) {
     throw CodecError("profile header too large for SYNB container");
   }
+  std::string out;
+  out.reserve(12 + header.size() + series_bytes(*this));
+  out.append(kBinaryMagic, 4);
+  put_u32(out, kBinaryVersion);
   put_u32(out, static_cast<uint32_t>(header.size()));
   out += header;
 
-  put_u32(out, static_cast<uint32_t>(p.series.size()));
-  for (const auto& ts : p.series) {
+  put_u32(out, static_cast<uint32_t>(series.size()));
+  for (const auto& ts : series) {
     put_string(out, ts.watcher);
     put_f64(out, ts.sample_rate_hz);
 
@@ -213,166 +360,50 @@ std::string encode_binary(const Profile& p) {
       put_f64(out, ts.gate.close_hold_s);
     }
 
-    // Interned metric dictionary: the sorted union of metric names across
-    // the series' samples. Sorted order matters: the delta kernel's lane
-    // order and its float-op order follow it.
-    std::set<std::string_view> names;
-    for (const auto& s : ts.samples) {
-      for (const auto& [k, _] : s.values) names.insert(k);
-    }
-    const std::vector<std::string_view> dict(names.begin(), names.end());
-    put_u32(out, static_cast<uint32_t>(dict.size()));
-    for (const auto& n : dict) put_string(out, n);
+    // The metric dictionary: the series' column names, already sorted.
+    // Sorted order matters: the delta kernel's lane order and its
+    // float-op order follow it.
+    const auto& metrics = ts.samples.metrics();
+    put_u32(out, static_cast<uint32_t>(metrics.size()));
+    for (const auto& c : metrics) put_string(out, c.name);
 
-    const size_t count = ts.samples.size();
+    const size_t count = ts.size();
     put_u32(out, static_cast<uint32_t>(count));
-    for (const auto& s : ts.samples) put_f64(out, s.timestamp);
+    put_f64s(out, ts.samples.timestamps());
 
-    // Stage all columns in one pass over the samples. Each sample's keys
-    // are a sorted subsequence of the sorted dictionary, so a merge walk
-    // finds every column index without any per-value lookup.
-    std::vector<std::string> columns(dict.size());
-    std::vector<std::vector<char>> bitmaps(
-        dict.size(), std::vector<char>((count + 7) / 8, 0));
-    std::vector<uint32_t> present(dict.size(), 0);
-    for (size_t i = 0; i < count; ++i) {
-      size_t d = 0;
-      for (const auto& [k, v] : ts.samples[i].values) {
-        while (dict[d] != k) ++d;
-        bitmaps[d][i >> 3] = static_cast<char>(
-            static_cast<unsigned char>(bitmaps[d][i >> 3]) | (1u << (i & 7)));
-        put_f64(columns[d], v);
-        ++present[d];
-        ++d;
+    for (const auto& c : metrics) {
+      const size_t n = present_count(c);
+      if (n == count) {  // dense: no bitmap, the column as is
+        out.push_back('\1');
+        put_u32(out, static_cast<uint32_t>(n));
+        put_f64s(out, c.values);
+        continue;
       }
-    }
-    for (size_t d = 0; d < dict.size(); ++d) {
-      const bool dense = present[d] == count;
-      out.push_back(dense ? '\1' : '\0');
-      if (!dense) out.append(bitmaps[d].data(), bitmaps[d].size());
-      put_u32(out, present[d]);
-      out += columns[d];
+      out.push_back('\0');
+      const size_t bitmap = out.size();
+      out.append((count + 7) / 8, '\0');
+      for (size_t i = 0; i < count; ++i) {
+        if (c.present[i] != 0) {
+          out[bitmap + (i >> 3)] |= static_cast<char>(1u << (i & 7));
+        }
+      }
+      put_u32(out, static_cast<uint32_t>(n));
+      for (size_t i = 0; i < count; ++i) {
+        if (c.present[i] != 0) put_f64(out, c.values[i]);
+      }
     }
   }
   return out;
 }
 
 size_t encoded_binary_size(const Profile& p) {
-  size_t bytes = 12 + encode_header(p).size() + 4;
-  for (const auto& ts : p.series) {
-    const size_t count = ts.samples.size();
-    std::map<std::string_view, size_t> present;  // dictionary + counts
-    for (const auto& s : ts.samples) {
-      for (const auto& [k, _] : s.values) ++present[k];
-    }
-    // Framing, flags, gate, metric and sample counts, timestamps.
-    bytes += 4 + ts.watcher.size() + 8 + 1 + (ts.gate.any() ? 32 : 0) + 8 +
-             count * 8;
-    for (const auto& [name, n] : present) {
-      bytes += 4 + name.size() + 1 + (n == count ? 0 : (count + 7) / 8) + 4 +
-               n * 8;
-    }
-  }
-  return bytes;
+  return 12 + encode_header(p).size() + series_bytes(p);
 }
 
-double MetricColumnView::value(size_t packed_index) const {
-  return load_f64(values + packed_index * 8);
-}
-
-double SeriesColumnsView::timestamp(size_t sample_index) const {
-  return load_f64(timestamps + sample_index * 8);
-}
-
-namespace {
-
-/// Shared framing walk: header already consumed, cursor at series_count.
-/// `version` selects the per-series framing (v1 has no flags byte).
-ProfileColumnsView read_columns(Cursor& c, uint32_t version) {
-  ProfileColumnsView out;
-  const uint32_t series_count = c.u32("series count");
-  // Bound the reserve by what the payload could possibly frame (each
-  // series costs >= 20 bytes) so a corrupt count throws CodecError
-  // instead of attempting a multi-gigabyte allocation.
-  c.need(static_cast<uint64_t>(series_count) * 20, "series table");
-  out.series.reserve(series_count);
-  for (uint32_t si = 0; si < series_count; ++si) {
-    SeriesColumnsView sv;
-    sv.watcher = read_string(c, "watcher name");
-    sv.rate_hz = c.f64("series rate");
-    if (version >= 2) {
-      const uint8_t flags = c.u8("series flags");
-      if (flags > 3) {
-        throw CodecError("corrupt SYNB container: series flags " +
-                         std::to_string(flags) + " at offset " +
-                         std::to_string(c.offset() - 1));
-      }
-      sv.variable_rate = (flags & 1u) != 0;
-      if ((flags & 2u) != 0) {
-        sv.gate.floor_hz = c.f64("gate floor_hz");
-        sv.gate.burst_hz = c.f64("gate burst_hz");
-        sv.gate.open_threshold = c.f64("gate open_threshold");
-        sv.gate.close_hold_s = c.f64("gate close_hold_s");
-      }
-    }
-    const uint32_t metric_count = c.u32("metric count");
-    // Same guard: every metric needs >= 9 framing bytes downstream.
-    c.need(static_cast<uint64_t>(metric_count) * 9, "metric table");
-    sv.metrics.resize(metric_count);
-    for (auto& m : sv.metrics) m.name = read_string(c, "metric name");
-    sv.sample_count = c.u32("sample count");
-    sv.timestamps =
-        c.raw(static_cast<uint64_t>(sv.sample_count) * 8, "timestamp column");
-    for (auto& m : sv.metrics) {
-      const uint8_t dense = c.u8("density flag");
-      if (dense > 1) {
-        throw CodecError("corrupt SYNB container: density flag " +
-                         std::to_string(dense) + " at offset " +
-                         std::to_string(c.offset() - 1));
-      }
-      if (!dense) {
-        m.presence = c.raw((static_cast<uint64_t>(sv.sample_count) + 7) / 8,
-                           "presence bitmap");
-      }
-      m.value_count = c.u32("value count");
-      if (m.value_count > sv.sample_count) {
-        throw CodecError("corrupt SYNB container: metric \"" +
-                         std::string(m.name) + "\" has " +
-                         std::to_string(m.value_count) + " values for " +
-                         std::to_string(sv.sample_count) + " samples");
-      }
-      if (dense && m.value_count != sv.sample_count) {
-        throw CodecError("corrupt SYNB container: dense metric \"" +
-                         std::string(m.name) + "\" has " +
-                         std::to_string(m.value_count) + " values for " +
-                         std::to_string(sv.sample_count) + " samples");
-      }
-      m.values = c.raw(static_cast<uint64_t>(m.value_count) * 8,
-                       "metric value column");
-    }
-    out.series.push_back(std::move(sv));
-  }
-  if (!c.done()) {
-    throw CodecError("corrupt SYNB container: " +
-                     std::to_string(c.offset()) + " byte(s) decoded, " +
-                     "trailing garbage follows");
-  }
-  return out;
-}
-
-}  // namespace
-
-ProfileColumnsView decode_columns(std::string_view data) {
-  Cursor c(data);
-  // Validates magic/version, skips the header.
-  const ContainerHead head = open_container(c);
-  return read_columns(c, head.version);
-}
-
-Profile decode_binary(std::string_view data) {
+Profile Profile::from_binary(std::string_view data) {
   Cursor c(data);
   const ContainerHead head = open_container(c);
-  const ProfileColumnsView cols = read_columns(c, head.version);
+  std::vector<TimeSeries> series = read_series(c, head.version);
 
   Profile p;
   try {
@@ -382,43 +413,7 @@ Profile decode_binary(std::string_view data) {
     throw CodecError(std::string("corrupt SYNB container: bad JSON header: ") +
                      e.what());
   }
-
-  p.series.reserve(cols.series.size());
-  for (const auto& sv : cols.series) {
-    TimeSeries ts;
-    ts.watcher = std::string(sv.watcher);
-    ts.sample_rate_hz = sv.rate_hz;
-    ts.variable_rate = sv.variable_rate;
-    ts.gate = sv.gate;
-    ts.samples.resize(sv.sample_count);
-    for (size_t i = 0; i < sv.sample_count; ++i) {
-      ts.samples[i].timestamp = sv.timestamp(i);
-    }
-    for (const auto& m : sv.metrics) {
-      const std::string name(m.name);
-      size_t cursor = 0;
-      for (size_t i = 0; i < sv.sample_count; ++i) {
-        if (!m.present(i)) continue;
-        if (cursor >= m.value_count) {
-          throw CodecError("corrupt SYNB container: metric \"" + name +
-                           "\" presence bitmap claims more values than the " +
-                           "column holds (" + std::to_string(m.value_count) +
-                           ")");
-        }
-        // hint: metric names are visited in sorted dictionary order, so
-        // each sample map grows by appending at its end.
-        auto& values = ts.samples[i].values;
-        values.emplace_hint(values.end(), name, m.value(cursor++));
-      }
-      if (cursor != m.value_count) {
-        throw CodecError("corrupt SYNB container: metric \"" + name + "\" " +
-                         "column holds " + std::to_string(m.value_count) +
-                         " values but the presence bitmap selects " +
-                         std::to_string(cursor));
-      }
-    }
-    p.series.push_back(std::move(ts));
-  }
+  p.series = std::move(series);
   return p;
 }
 
@@ -440,174 +435,6 @@ BinaryProfileInfo decode_binary_identity(std::string_view data) {
                      e.what());
   }
   return info;
-}
-
-namespace {
-
-/// One accumulation lane per metric name, shared across series (a delta
-/// row holds one slot per metric, whichever series recorded it).
-/// `present` distinguishes "never touched" from "delta sums to zero";
-/// `touched` is whether any row is present at all.
-struct Accum {
-  bool instantaneous = false;
-  bool touched = false;
-  std::vector<double> value;
-  std::vector<uint8_t> present;
-};
-
-/// The delta kernel. Per slot, the float operations run in (series,
-/// sample) order, which is what keeps the result bit-identical to the
-/// golden tables the retired per-sample map walk produced.
-/// Instantaneous metrics carry their max within the row (present on
-/// every touch); cumulative ones are differenced per series and
-/// present only where a positive delta lands. `bucket_of` supplies the
-/// bucketing (fixed period or timestamp union).
-template <typename BucketFn>
-std::map<std::string, Accum, std::less<>> accumulate_lanes(
-    const ProfileColumnsView& columns, size_t buckets, BucketFn bucket_of) {
-  std::map<std::string, Accum, std::less<>> accums;
-  std::vector<size_t> bucket;
-  for (const auto& sv : columns.series) {
-    bucket.resize(sv.sample_count);
-    for (size_t i = 0; i < sv.sample_count; ++i) {
-      bucket[i] = bucket_of(sv.timestamp(i));
-    }
-    for (const auto& mc : sv.metrics) {
-      auto it = accums.find(mc.name);
-      if (it == accums.end()) {
-        it = accums.emplace(std::string(mc.name), Accum{}).first;
-        it->second.instantaneous = is_instantaneous_metric(mc.name);
-        it->second.value.assign(buckets, 0.0);
-        it->second.present.assign(buckets, 0);
-      }
-      Accum& acc = it->second;
-      size_t cursor = 0;
-      if (acc.instantaneous) {
-        for (size_t i = 0; i < sv.sample_count; ++i) {
-          if (!mc.present(i)) continue;
-          const double v = mc.value(cursor++);
-          const size_t b = bucket[i];
-          acc.present[b] = 1;
-          acc.touched = true;
-          acc.value[b] = std::max(acc.value[b], v);
-        }
-      } else {
-        double prev = 0.0;
-        for (size_t i = 0; i < sv.sample_count; ++i) {
-          if (!mc.present(i)) continue;
-          const double v = mc.value(cursor++);
-          const double delta = v - prev;
-          prev = v;
-          if (delta > 0) {
-            const size_t b = bucket[i];
-            acc.value[b] += delta;
-            acc.present[b] = 1;
-            acc.touched = true;
-          }
-        }
-      }
-    }
-  }
-  return accums;
-}
-
-/// Accumulated lanes -> DeltaTable. The map iterates in sorted name
-/// order, which is the LaneTable's order, and each lane's value/present
-/// vectors move straight in as its columns. A metric no row ever
-/// received gets no lane, so an unrecorded metric and one whose deltas
-/// were never positive read the same (kNoLane).
-DeltaTable make_table(std::map<std::string, Accum, std::less<>> accums,
-                      std::vector<double> durations) {
-  std::vector<std::string> names;
-  std::vector<std::vector<double>> values;
-  std::vector<std::vector<uint8_t>> present;
-  for (auto& [name, lane] : accums) {
-    if (!lane.touched) continue;
-    names.push_back(name);
-    values.push_back(std::move(lane.value));
-    present.push_back(std::move(lane.present));
-  }
-  return DeltaTable(LaneTable(std::move(names)), std::move(durations),
-                    std::move(values), std::move(present));
-}
-
-}  // namespace
-
-DeltaTable delta_table_from_columns(const ProfileColumnsView& columns,
-                                    double profile_rate_hz) {
-  // Row resolution follows the fastest recorded series: with
-  // per-watcher rate overrides the high-rate series defines the replay
-  // granularity, slower series simply contribute to fewer rows.
-  double rate = profile_rate_hz;
-  for (const auto& sv : columns.series) rate = std::max(rate, sv.rate_hz);
-
-  bool variable = false;
-  for (const auto& sv : columns.series) variable = variable || sv.variable_rate;
-
-  if (variable) {
-    // Variable-rate profiles: the recorded timestamps ARE the rows.
-    // Edges = sorted unique union of every sample instant across
-    // series; each row's duration is the recorded gap to the previous
-    // edge, so the replay trajectory (burst density, idle stretches)
-    // survives exactly. Bucket lookup is an exact-double binary search,
-    // so a sample always finds its own timestamp.
-    std::vector<double> edges;
-    size_t total = 0;
-    for (const auto& sv : columns.series) total += sv.sample_count;
-    edges.reserve(total);
-    for (const auto& sv : columns.series) {
-      for (size_t i = 0; i < sv.sample_count; ++i) {
-        edges.push_back(sv.timestamp(i));
-      }
-    }
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-    if (edges.empty()) return {};
-
-    std::vector<double> durations(edges.size());
-    // The first row has no predecessor; fall back to the nominal
-    // (burst) period, then to the first recorded gap.
-    durations[0] = rate > 0.0 ? 1.0 / rate
-                              : (edges.size() > 1 ? edges[1] - edges[0] : 0.0);
-    for (size_t j = 1; j < edges.size(); ++j) {
-      durations[j] = edges[j] - edges[j - 1];
-    }
-    const auto bucket_of = [&edges](double t) {
-      return static_cast<size_t>(
-          std::lower_bound(edges.begin(), edges.end(), t) - edges.begin());
-    };
-    return make_table(accumulate_lanes(columns, edges.size(), bucket_of),
-                      std::move(durations));
-  }
-
-  if (rate <= 0.0) return {};
-  const double period = 1.0 / rate;
-
-  // The profile time origin: the earliest timestamp of any series.
-  // Watcher clocks are unsynchronised (deliberately, section 4.1);
-  // bucketing on the common origin reconstructs the recorded ordering
-  // across resource types, which is all the emulation semantics need.
-  double origin = std::numeric_limits<double>::infinity();
-  for (const auto& sv : columns.series) {
-    if (sv.sample_count > 0) origin = std::min(origin, sv.timestamp(0));
-  }
-  if (!std::isfinite(origin)) return {};
-
-  // The epsilon absorbs floating-point jitter when timestamps land
-  // exactly on period boundaries (synthetic profiles do).
-  auto bucket_of = [origin, period](double t) {
-    return static_cast<size_t>(std::max(0.0, (t - origin) / period + 1e-9));
-  };
-
-  size_t max_bucket = 0;
-  for (const auto& sv : columns.series) {
-    for (size_t i = 0; i < sv.sample_count; ++i) {
-      max_bucket = std::max(max_bucket, bucket_of(sv.timestamp(i)));
-    }
-  }
-  const size_t buckets = max_bucket + 1;
-  return make_table(accumulate_lanes(columns, buckets, bucket_of),
-                    std::vector<double>(buckets, period));
 }
 
 // --- base64 -----------------------------------------------------------------

@@ -8,13 +8,11 @@
 // self-describing prefix — and stores the high-volume sample payload as
 // per-series columns: an interned metric-name dictionary, one timestamp
 // column, and one contiguous little-endian f64 column per metric (with
-// a presence bitmap when a metric is absent from some samples). Decode
-// therefore walks flat arrays instead of re-hashing one string→double
-// map per sample. The columns are also the only input of the delta
-// kernel (delta_table_from_columns): a retained payload is read in
-// place, any other profile is encoded first, since the encoder is
-// exactly the transpose of the per-sample maps into sorted,
-// presence-tagged columns.
+// a presence bitmap when a metric is absent from some samples). That is
+// the in-memory layout of a series (profile.hpp SampleColumns) packed:
+// decode copies the timestamp and dense value columns straight in,
+// scatters sparse ones along their bitmap, and keeps nothing of the
+// blob; encode writes the columns back out.
 //
 // Container layout (all integers little-endian):
 //
@@ -46,7 +44,6 @@
 #include <string_view>
 #include <vector>
 
-#include "profile/delta_frame.hpp"
 #include "profile/profile.hpp"
 
 namespace synapse::profile {
@@ -68,18 +65,14 @@ inline constexpr uint32_t kBinaryMinVersion = 1;
 /// reads. True only for data that starts with the SYNB magic.
 bool looks_like_binary_profile(std::string_view data);
 
-/// Encode a profile into a SYNB blob.
-std::string encode_binary(const Profile& p);
+// Profile::to_binary() encodes and Profile::from_binary() decodes. The
+// decoder throws CodecError on malformed input: truncation, bad framing,
+// metric names out of order, or value counts that disagree with the
+// sample count or the presence bitmap.
 
-/// encode_binary(p).size(), from one walk over the series and without
-/// building the columns.
+/// p.to_binary().size(), from the columns' names and presence counts,
+/// without encoding.
 size_t encoded_binary_size(const Profile& p);
-
-/// Decode a SYNB blob into a fully materialized Profile. Throws
-/// CodecError on malformed input. Prefer Profile::from_binary, which
-/// additionally retains the blob so delta_table() can run the kernel
-/// over its columns without re-encoding.
-Profile decode_binary(std::string_view data);
 
 /// Identity fields straight from the JSON header — listings and
 /// identity checks pay for the small header parse only, never for the
@@ -90,64 +83,6 @@ struct BinaryProfileInfo {
   double created_at = 0.0;
 };
 BinaryProfileInfo decode_binary_identity(std::string_view data);
-
-// --- columnar views ---------------------------------------------------------
-// Views point into the encoded buffer (no copies of the bulk data); they
-// are valid only while that buffer is. Element accessors go through
-// memcpy so unaligned column offsets are safe on every target.
-
-/// One metric column of one series. Values are packed: values[k] is the
-/// value of the k-th sample for which present() is true.
-struct MetricColumnView {
-  std::string_view name;
-  const char* presence = nullptr;  ///< bitmap; nullptr when dense
-  const char* values = nullptr;    ///< f64 little-endian, packed
-  uint32_t value_count = 0;
-
-  bool present(size_t sample_index) const {
-    if (presence == nullptr) return true;
-    return (static_cast<unsigned char>(presence[sample_index >> 3]) >>
-            (sample_index & 7)) &
-           1u;
-  }
-  double value(size_t packed_index) const;
-};
-
-/// The columns of one TimeSeries.
-struct SeriesColumnsView {
-  std::string_view watcher;
-  double rate_hz = 0.0;
-  bool variable_rate = false;  ///< v2 flag bit0; v1 series are fixed-rate
-  SeriesGate gate;             ///< v2 gate params (all zero when absent)
-  const char* timestamps = nullptr;  ///< f64 little-endian
-  uint32_t sample_count = 0;
-  std::vector<MetricColumnView> metrics;
-
-  double timestamp(size_t sample_index) const;
-};
-
-/// Column views over a whole SYNB blob. The JSON header is skipped, not
-/// parsed — obtaining the view costs a bounds-checked walk over the
-/// series framing only, which is what makes it usable per-replay when
-/// the emulator compiles its replay plan.
-struct ProfileColumnsView {
-  std::vector<SeriesColumnsView> series;
-};
-
-/// Build column views over `data` (which must outlive the view).
-/// Throws CodecError on malformed input.
-ProfileColumnsView decode_columns(std::string_view data);
-
-/// The delta kernel: per-period consumption deltas computed from
-/// columns into a DeltaTable (delta_frame.hpp), the only delta product.
-/// Fixed-rate profiles are bucketed on the fastest series' period from
-/// the earliest timestamp; if any series carries the variable_rate flag
-/// the rows are the union of the recorded timestamps instead.
-/// `profile_rate_hz` is the profile-level rate the per-series rates are
-/// maxed against. Profile::delta_table() feeds it the retained payload
-/// or a fresh encode_binary() of the profile.
-DeltaTable delta_table_from_columns(const ProfileColumnsView& columns,
-                                    double profile_rate_hz);
 
 // --- base64 -----------------------------------------------------------------
 // Used by the docstore/cluster backends to carry SYNB blobs inside JSON

@@ -5,11 +5,9 @@
 // A DeltaTable interns the profile's metric names into dense lane IDs
 // (LaneTable) and stores one contiguous f64 column per metric plus a
 // presence column (distinguishing "metric absent from this period" from
-// "delta sums to zero"). One kernel builds it, from SYNB
-// decode_columns() views (binary_codec.hpp, delta_table_from_columns):
-// Profile::delta_table() hands it the retained payload, or a fresh
-// encode of profiles that have none. No SampleDelta map is ever
-// materialized on the way.
+// "delta sums to zero"). One kernel builds it, Profile::delta_table(),
+// straight over the profile's own columns (profile.hpp SampleColumns).
+// No SampleDelta map is ever materialized on the way.
 //
 // A DeltaFrame is a cheap value-type view of a contiguous row range of
 // one table — the unit the replay engine hands to

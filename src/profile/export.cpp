@@ -36,7 +36,8 @@ std::string series_to_csv(const Profile& profile) {
     // Measured, not nominal: for variable-rate (gated) series the two
     // diverge, and the measured one is what plots should annotate.
     const std::string rate = format_double(ts.effective_rate_hz());
-    for (const auto& s : ts.samples) {
+    for (size_t i = 0; i < ts.size(); ++i) {
+      const auto s = ts.samples[i];
       for (const auto& [metric, value] : s.values) {
         out += csv_field(ts.watcher);
         out += ',';

@@ -7,51 +7,101 @@
 #include <set>
 
 #include "profile/binary_codec.hpp"
+#include "profile/delta_frame.hpp"
 #include "profile/metrics.hpp"
-#include "sys/mmap_file.hpp"
 
 namespace synapse::profile {
 
-double Sample::get(std::string_view metric, double dflt) const {
-  const auto it = values.find(std::string(metric));
-  return it == values.end() ? dflt : it->second;
+namespace {
+
+/// Where `metric`'s column is, or would go, in the sorted columns.
+template <typename Columns>
+auto column_of(Columns& metrics, std::string_view metric) {
+  return std::lower_bound(metrics.begin(), metrics.end(), metric,
+                          [](const MetricColumn& c, std::string_view name) {
+                            return c.name < name;
+                          });
 }
 
-void Sample::set(std::string_view metric, double value) {
-  values[std::string(metric)] = value;
+}  // namespace
+
+const MetricColumn* SampleColumns::find(std::string_view metric) const {
+  const auto it = column_of(metrics_, metric);
+  return it == metrics_.end() || it->name != metric ? nullptr : &*it;
+}
+
+size_t SampleColumns::add_row(double timestamp) {
+  timestamps_.push_back(timestamp);
+  for (auto& c : metrics_) {
+    c.values.push_back(0.0);
+    c.present.push_back(0);
+  }
+  return timestamps_.size() - 1;
+}
+
+void SampleColumns::set(size_t row, std::string_view metric, double value) {
+  auto it = column_of(metrics_, metric);
+  if (it == metrics_.end() || it->name != metric) {
+    MetricColumn c;
+    c.name = std::string(metric);
+    c.values.reserve(timestamps_.capacity());
+    c.present.reserve(timestamps_.capacity());
+    c.values.resize(timestamps_.size(), 0.0);
+    c.present.resize(timestamps_.size(), 0);
+    it = metrics_.insert(it, std::move(c));
+  }
+  it->values[row] = value;
+  it->present[row] = 1;
+}
+
+void SampleColumns::reserve(size_t rows) {
+  timestamps_.reserve(rows);
+  for (auto& c : metrics_) {
+    c.values.reserve(rows);
+    c.present.reserve(rows);
+  }
+}
+
+void SampleColumns::erase(std::string_view metric) {
+  const auto it = column_of(metrics_, metric);
+  if (it != metrics_.end() && it->name == metric) metrics_.erase(it);
 }
 
 double TimeSeries::last(std::string_view metric) const {
-  for (auto it = samples.rbegin(); it != samples.rend(); ++it) {
-    const auto found = it->values.find(std::string(metric));
-    if (found != it->values.end()) return found->second;
+  const MetricColumn* c = samples.find(metric);
+  if (c == nullptr) return 0.0;
+  for (size_t i = c->present.size(); i-- > 0;) {
+    if (c->present[i] != 0) return c->values[i];
   }
   return 0.0;
 }
 
 double TimeSeries::max(std::string_view metric) const {
+  // Absent cells hold 0.0, the value an absent metric always counted as.
   double best = 0.0;
-  for (const auto& s : samples) {
-    best = std::max(best, s.get(metric));
+  if (const MetricColumn* c = samples.find(metric)) {
+    for (const double v : c->values) best = std::max(best, v);
   }
   return best;
 }
 
 double TimeSeries::effective_rate_hz() const {
-  if (samples.size() < 2) return sample_rate_hz;
-  const double span = samples.back().timestamp - samples.front().timestamp;
+  const std::vector<double>& t = samples.timestamps();
+  if (t.size() < 2) return sample_rate_hz;
+  const double span = t.back() - t.front();
   if (!(span > 0.0)) return sample_rate_hz;
-  return static_cast<double>(samples.size() - 1) / span;
+  return static_cast<double>(t.size() - 1) / span;
 }
 
 GapStats TimeSeries::gap_stats() const {
   GapStats g;
-  if (samples.size() < 2) return g;
-  g.gaps = samples.size() - 1;
+  const std::vector<double>& t = samples.timestamps();
+  if (t.size() < 2) return g;
+  g.gaps = t.size() - 1;
   g.min_s = std::numeric_limits<double>::infinity();
   double sum = 0.0;
-  for (size_t i = 1; i < samples.size(); ++i) {
-    const double gap = samples[i].timestamp - samples[i - 1].timestamp;
+  for (size_t i = 1; i < t.size(); ++i) {
+    const double gap = t[i] - t[i - 1];
     g.min_s = std::min(g.min_s, gap);
     g.max_s = std::max(g.max_s, gap);
     sum += gap;
@@ -149,46 +199,161 @@ bool is_instantaneous_metric(std::string_view metric) {
 
 namespace {
 
-/// True when the retained SYNB payload still describes `series`: same
-/// watchers, rates, sample counts and timestamps. Cheap relative to a
-/// delta computation (no per-sample maps are touched), and the guard
-/// that lets delta_table() trust the columns.
-bool matches_payload_shape(const ProfileColumnsView& cols,
-                           const std::vector<TimeSeries>& series) {
-  if (cols.series.size() != series.size()) return false;
-  for (size_t i = 0; i < series.size(); ++i) {
-    const SeriesColumnsView& sv = cols.series[i];
-    const TimeSeries& ts = series[i];
-    if (sv.watcher != ts.watcher || sv.rate_hz != ts.sample_rate_hz ||
-        sv.variable_rate != ts.variable_rate ||
-        sv.sample_count != ts.samples.size()) {
-      return false;
-    }
-    for (size_t j = 0; j < ts.samples.size(); ++j) {
-      if (sv.timestamp(j) != ts.samples[j].timestamp) return false;
+/// One accumulation lane per metric name, shared across series (a delta
+/// row holds one slot per metric, whichever series recorded it).
+/// `present` distinguishes "never touched" from "delta sums to zero";
+/// `touched` is whether any row is present at all.
+struct Accum {
+  bool instantaneous = false;
+  bool touched = false;
+  std::vector<double> value;
+  std::vector<uint8_t> present;
+};
+
+/// The delta kernel. Per slot, the float operations run in (series,
+/// sample) order, which is what keeps the result bit-identical to the
+/// golden tables the retired per-sample map walk produced.
+/// Instantaneous metrics carry their max within the row (present on
+/// every touch); cumulative ones are differenced per series and
+/// present only where a positive delta lands. `bucket_of` supplies the
+/// bucketing (fixed period or timestamp union).
+template <typename BucketFn>
+std::map<std::string, Accum, std::less<>> accumulate_lanes(
+    const std::vector<TimeSeries>& series, size_t buckets,
+    BucketFn bucket_of) {
+  std::map<std::string, Accum, std::less<>> accums;
+  std::vector<size_t> bucket;
+  for (const auto& ts : series) {
+    const std::vector<double>& t = ts.samples.timestamps();
+    bucket.resize(t.size());
+    for (size_t i = 0; i < t.size(); ++i) bucket[i] = bucket_of(t[i]);
+    for (const auto& mc : ts.samples.metrics()) {
+      auto it = accums.find(mc.name);
+      if (it == accums.end()) {
+        it = accums.emplace(mc.name, Accum{}).first;
+        it->second.instantaneous = is_instantaneous_metric(mc.name);
+        it->second.value.assign(buckets, 0.0);
+        it->second.present.assign(buckets, 0);
+      }
+      Accum& acc = it->second;
+      if (acc.instantaneous) {
+        for (size_t i = 0; i < t.size(); ++i) {
+          if (mc.present[i] == 0) continue;
+          const size_t b = bucket[i];
+          acc.present[b] = 1;
+          acc.touched = true;
+          acc.value[b] = std::max(acc.value[b], mc.values[i]);
+        }
+      } else {
+        double prev = 0.0;
+        for (size_t i = 0; i < t.size(); ++i) {
+          if (mc.present[i] == 0) continue;
+          const double v = mc.values[i];
+          const double delta = v - prev;
+          prev = v;
+          if (delta > 0) {
+            const size_t b = bucket[i];
+            acc.value[b] += delta;
+            acc.present[b] = 1;
+            acc.touched = true;
+          }
+        }
+      }
     }
   }
-  return true;
+  return accums;
+}
+
+/// Accumulated lanes -> DeltaTable. The map iterates in sorted name
+/// order, which is the LaneTable's order, and each lane's value/present
+/// vectors move straight in as its columns. A metric no row ever
+/// received gets no lane, so an unrecorded metric and one whose deltas
+/// were never positive read the same (kNoLane).
+DeltaTable make_table(std::map<std::string, Accum, std::less<>> accums,
+                      std::vector<double> durations) {
+  std::vector<std::string> names;
+  std::vector<std::vector<double>> values;
+  std::vector<std::vector<uint8_t>> present;
+  for (auto& [name, lane] : accums) {
+    if (!lane.touched) continue;
+    names.push_back(name);
+    values.push_back(std::move(lane.value));
+    present.push_back(std::move(lane.present));
+  }
+  return DeltaTable(LaneTable(std::move(names)), std::move(durations),
+                    std::move(values), std::move(present));
 }
 
 }  // namespace
 
 DeltaTable Profile::delta_table() const {
-  if (binary_) {
-    try {
-      const ProfileColumnsView cols = decode_columns(binary_->view());
-      if (matches_payload_shape(cols, series)) {
-        return delta_table_from_columns(cols, sample_rate_hz);
-      }
-    } catch (const CodecError&) {
-      // A damaged retained payload is not fatal — the materialized
-      // series below is authoritative.
+  // Row resolution follows the fastest recorded series: with
+  // per-watcher rate overrides the high-rate series defines the replay
+  // granularity, slower series simply contribute to fewer rows.
+  double rate = sample_rate_hz;
+  for (const auto& ts : series) rate = std::max(rate, ts.sample_rate_hz);
+
+  if (variable_rate()) {
+    // Variable-rate profiles: the recorded timestamps ARE the rows.
+    // Edges = sorted unique union of every sample instant across
+    // series; each row's duration is the recorded gap to the previous
+    // edge, so the replay trajectory (burst density, idle stretches)
+    // survives exactly. Bucket lookup is an exact-double binary search,
+    // so a sample always finds its own timestamp.
+    std::vector<double> edges;
+    edges.reserve(sample_count());
+    for (const auto& ts : series) {
+      const std::vector<double>& t = ts.samples.timestamps();
+      edges.insert(edges.end(), t.begin(), t.end());
+    }
+    std::sort(edges.begin(), edges.end());
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+    if (edges.empty()) return {};
+
+    std::vector<double> durations(edges.size());
+    // The first row has no predecessor; fall back to the nominal
+    // (burst) period, then to the first recorded gap.
+    durations[0] = rate > 0.0 ? 1.0 / rate
+                              : (edges.size() > 1 ? edges[1] - edges[0] : 0.0);
+    for (size_t j = 1; j < edges.size(); ++j) {
+      durations[j] = edges[j] - edges[j - 1];
+    }
+    const auto bucket_of = [&edges](double t) {
+      return static_cast<size_t>(
+          std::lower_bound(edges.begin(), edges.end(), t) - edges.begin());
+    };
+    return make_table(accumulate_lanes(series, edges.size(), bucket_of),
+                      std::move(durations));
+  }
+
+  if (rate <= 0.0) return {};
+  const double period = 1.0 / rate;
+
+  // The profile time origin: the earliest timestamp of any series.
+  // Watcher clocks are unsynchronised (deliberately, section 4.1);
+  // bucketing on the common origin reconstructs the recorded ordering
+  // across resource types, which is all the emulation semantics need.
+  double origin = std::numeric_limits<double>::infinity();
+  for (const auto& ts : series) {
+    if (!ts.empty()) origin = std::min(origin, ts.samples.timestamps()[0]);
+  }
+  if (!std::isfinite(origin)) return {};
+
+  // The epsilon absorbs floating-point jitter when timestamps land
+  // exactly on period boundaries (synthetic profiles do).
+  auto bucket_of = [origin, period](double t) {
+    return static_cast<size_t>(std::max(0.0, (t - origin) / period + 1e-9));
+  };
+
+  size_t max_bucket = 0;
+  for (const auto& ts : series) {
+    for (const double t : ts.samples.timestamps()) {
+      max_bucket = std::max(max_bucket, bucket_of(t));
     }
   }
-  // Encoding transposes the per-sample maps into the sorted,
-  // presence-tagged columns the kernel reads.
-  const std::string encoded = encode_binary(*this);
-  return delta_table_from_columns(decode_columns(encoded), sample_rate_hz);
+  const size_t buckets = max_bucket + 1;
+  return make_table(accumulate_lanes(series, buckets, bucket_of),
+                    std::vector<double>(buckets, period));
 }
 
 std::vector<SampleDelta> Profile::sample_deltas() const {
@@ -252,11 +417,13 @@ json::Value Profile::to_json() const {
       jts["gate"] = std::move(jg);
     }
     json::Array jsamples;
-    for (const auto& s : ts.samples) {
+    jsamples.reserve(ts.size());
+    for (size_t i = 0; i < ts.size(); ++i) {
+      const auto row = ts.samples[i];
       json::Object js;
-      js["t"] = s.timestamp;
+      js["t"] = row.timestamp;
       json::Object jv;
-      for (const auto& [k, v] : s.values) jv[k] = v;
+      for (const auto& [k, v] : row.values) jv.emplace_hint(jv.end(), k, v);
       js["v"] = std::move(jv);
       jsamples.push_back(json::Value(std::move(js)));
     }
@@ -298,13 +465,13 @@ Profile Profile::from_json(const json::Value& v) {
         ts.gate.open_threshold = jg.get_or("open_threshold", 0.0);
         ts.gate.close_hold_s = jg.get_or("close_hold_s", 0.0);
       }
-      for (const auto& js : jts["samples"].as_array()) {
-        Sample s;
-        s.timestamp = js.get_or("t", 0.0);
+      const json::Array& jsamples = jts["samples"].as_array();
+      ts.samples.reserve(jsamples.size());
+      for (const auto& js : jsamples) {
+        const size_t row = ts.samples.add_row(js.get_or("t", 0.0));
         for (const auto& [k, val] : js["v"].as_object()) {
-          s.values[k] = val.as_double();
+          ts.samples.set(row, k, val.as_double());
         }
-        ts.samples.push_back(std::move(s));
       }
       p.series.push_back(std::move(ts));
     }
@@ -322,45 +489,24 @@ Profile Profile::from_json(const json::Value& v) {
   return p;
 }
 
-std::string Profile::to_binary() const { return encode_binary(*this); }
-
-Profile Profile::from_binary(std::string data) {
-  return from_binary_view(
-      std::make_shared<const sys::StringBlob>(std::move(data)));
-}
-
-Profile Profile::from_binary_view(std::shared_ptr<const sys::Blob> blob) {
-  Profile p = decode_binary(blob->view());
-  p.binary_ = std::move(blob);
-  return p;
-}
-
 size_t Profile::decoded_bytes() const {
-  // Map nodes dominate; count them with a flat per-node overhead
-  // (key + two doubles-ish + rb-tree pointers) so the cache budget
-  // tracks sample volume rather than pretending to be malloc-exact.
+  // Columns and strings are charged their capacities; the small
+  // totals/derived maps a flat per-node overhead (key + value +
+  // rb-tree pointers).
   constexpr size_t kMapNode = 64;
   size_t bytes = sizeof(Profile) + command.capacity();
   for (const auto& t : tags) bytes += sizeof(std::string) + t.capacity();
   for (const auto& ts : series) {
-    bytes += sizeof(TimeSeries) + ts.watcher.capacity();
-    for (const auto& s : ts.samples) {
-      bytes += sizeof(Sample);
-      for (const auto& [k, v] : s.values) {
-        (void)v;
-        bytes += kMapNode + k.capacity();
-      }
+    bytes += sizeof(TimeSeries) + ts.watcher.capacity() +
+             ts.samples.timestamps().capacity() * sizeof(double);
+    for (const auto& c : ts.samples.metrics()) {
+      bytes += sizeof(MetricColumn) + c.name.capacity() +
+               c.values.capacity() * sizeof(double) + c.present.capacity();
     }
   }
-  for (const auto& [k, v] : totals) {
-    (void)v;
-    bytes += kMapNode + k.capacity();
+  for (const auto* map : {&totals, &derived}) {
+    for (const auto& entry : *map) bytes += kMapNode + entry.first.capacity();
   }
-  for (const auto& [k, v] : derived) {
-    (void)v;
-    bytes += kMapNode + k.capacity();
-  }
-  if (binary_) bytes += binary_->view().size();
   return bytes;
 }
 

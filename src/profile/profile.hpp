@@ -9,32 +9,140 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "json/json.hpp"
-
-namespace synapse::sys {
-class Blob;
-}
 
 namespace synapse::profile {
 
 class DeltaTable;
 
-/// Metric values observed at one sampling instant by one watcher.
+/// One metric of one series: a row-aligned value column plus presence.
 /// Values are cumulative-so-far where that makes sense (bytes, cycles)
 /// and instantaneous otherwise (resident memory, thread count); the
 /// watcher decides, the emulator consumes per-sample *deltas* computed by
-/// `Profile::delta_table`.
-struct Sample {
-  double timestamp = 0.0;  ///< wall-clock seconds (epoch)
-  std::map<std::string, double> values;
+/// `Profile::delta_table`. Every column records at least one row.
+struct MetricColumn {
+  std::string name;
+  std::vector<double> values;    ///< one per row; 0.0 where absent
+  std::vector<uint8_t> present;  ///< one per row; 1 where recorded
+};
 
-  double get(std::string_view metric, double dflt = 0.0) const;
-  void set(std::string_view metric, double value);
+/// One present cell of a row. `for (auto& [metric, value] : row.values)`
+/// binds `metric` to the column name and `value` to the cell itself.
+template <typename D>
+struct SampleCell {
+  const std::string& metric;
+  D& value;
+};
+
+/// The present cells of one row, in sorted metric order. `D` is
+/// `double` (values write through to the columns) or `const double`.
+template <typename D>
+class SampleCells {
+ public:
+  using Column = std::conditional_t<std::is_const_v<D>, const MetricColumn,
+                                    MetricColumn>;
+
+  class iterator {
+   public:
+    iterator(Column* column, Column* end, size_t row)
+        : column_(column), end_(end), row_(row) {
+      skip_absent();
+    }
+    const SampleCell<D>& operator*() const { return *cell_; }
+    iterator& operator++() {
+      ++column_;
+      skip_absent();
+      return *this;
+    }
+    bool operator!=(const iterator& other) const {
+      return column_ != other.column_;
+    }
+
+   private:
+    void skip_absent() {
+      while (column_ != end_ && column_->present[row_] == 0) ++column_;
+      if (column_ != end_) {
+        cell_.emplace(SampleCell<D>{column_->name, column_->values[row_]});
+      }
+    }
+
+    Column* column_;
+    Column* end_;
+    size_t row_;
+    std::optional<SampleCell<D>> cell_;
+  };
+
+  SampleCells(Column* first, Column* last, size_t row)
+      : first_(first), last_(last), row_(row) {}
+
+  iterator begin() const { return iterator(first_, last_, row_); }
+  iterator end() const { return iterator(last_, last_, row_); }
+
+ private:
+  Column* first_;
+  Column* last_;
+  size_t row_;
+};
+
+/// Row `i` of a series, viewed through its columns.
+template <typename D>
+struct SampleRow {
+  D& timestamp;
+  SampleCells<D> values;
+};
+
+/// The samples of one series, stored as columns: one timestamp per row,
+/// each metric name once in sorted order, and one MetricColumn per
+/// metric — the layout of a SYNB series, so decode copies columns in and
+/// the delta kernel reads them in place. `samples[i]` is a row view over
+/// them. Rows are appended through add_row() and set().
+class SampleColumns {
+ public:
+  SampleColumns() = default;
+  /// Adopt decoded columns. `metrics` must be sorted by unique name and
+  /// every column must hold timestamps.size() rows.
+  SampleColumns(std::vector<double> timestamps,
+                std::vector<MetricColumn> metrics)
+      : timestamps_(std::move(timestamps)), metrics_(std::move(metrics)) {}
+
+  size_t size() const { return timestamps_.size(); }
+  bool empty() const { return timestamps_.empty(); }
+
+  const std::vector<double>& timestamps() const { return timestamps_; }
+  const std::vector<MetricColumn>& metrics() const { return metrics_; }
+  /// The column of a metric; nullptr when no row recorded it.
+  const MetricColumn* find(std::string_view metric) const;
+
+  SampleRow<double> operator[](size_t row) {
+    return {timestamps_[row],
+            {metrics_.data(), metrics_.data() + metrics_.size(), row}};
+  }
+  SampleRow<const double> operator[](size_t row) const {
+    return {timestamps_[row],
+            {metrics_.data(), metrics_.data() + metrics_.size(), row}};
+  }
+
+  // --- the appender ---------------------------------------------------------
+  /// Append a row at `timestamp` with every cell absent; returns its index.
+  size_t add_row(double timestamp);
+  /// Record `value` for `metric` in an existing row; a later value
+  /// replaces an earlier one. A metric's first value adds its column,
+  /// absent on every other row.
+  void set(size_t row, std::string_view metric, double value);
+  void reserve(size_t rows);
+  /// Drop a metric's column (no-op when no row recorded it).
+  void erase(std::string_view metric);
+
+ private:
+  std::vector<double> timestamps_;
+  std::vector<MetricColumn> metrics_;
 };
 
 /// Gate parameters a variable-rate series was recorded under (the
@@ -75,7 +183,7 @@ struct TimeSeries {
   /// deriving a fixed period from the rate.
   bool variable_rate = false;
   SeriesGate gate;  ///< gate the series was recorded under (if any)
-  std::vector<Sample> samples;
+  SampleColumns samples;
 
   bool empty() const { return samples.empty(); }
   size_t size() const { return samples.size(); }
@@ -170,12 +278,8 @@ class Profile {
   /// themselves (one row per distinct instant across watchers) and each
   /// row's duration is the recorded gap to the previous row.
   ///
-  /// One kernel computes it (binary_codec.hpp, delta_table_from_columns)
-  /// from SYNB columns. Profiles decoded via from_binary() feed it their
-  /// retained payload; all others are encoded first. The payload is
-  /// trusted while `series` still matches its shape and timestamps, so
-  /// code that edits sample *values* of a decoded profile in place must
-  /// call drop_binary_payload() first.
+  /// One kernel computes it, straight over the series' own columns, so
+  /// a value edited through `samples[i].values` shows in the next call.
   DeltaTable delta_table() const;
 
   /// delta_table() unboxed row by row into SampleDelta maps (present
@@ -192,32 +296,16 @@ class Profile {
   static Profile from_json(const json::Value& v);
 
   /// SYNB binary columnar container (binary_codec.hpp). from_binary
-  /// retains the encoded payload so delta_table() reads its columns
-  /// instead of encoding the profile again.
+  /// copies the columns out of `data`, which need not outlive the call
+  /// (a store may decode straight out of an mmap-ed file and unmap it).
+  /// Throws CodecError on malformed input.
   std::string to_binary() const;
-  static Profile from_binary(std::string data);
+  static Profile from_binary(std::string_view data);
 
-  /// from_binary over a shared buffer — no copy of the encoded bytes.
-  /// The profile holds a reference on `blob` for its lifetime, which is
-  /// what lets the files backend decode straight out of an mmap-ed
-  /// .profile.synb (sys::MappedBlob) and keep the mapping alive past a
-  /// concurrent remove() of the file. Throws CodecError like
-  /// from_binary; `blob` must not be null.
-  static Profile from_binary_view(std::shared_ptr<const sys::Blob> blob);
-
-  bool has_binary_payload() const { return binary_ != nullptr; }
-  void drop_binary_payload() { binary_.reset(); }
-
-  /// Rough in-memory footprint (materialized structures + retained
-  /// payload reference) — the unit of the store's decoded-profile cache
-  /// budget. An estimate, not an allocator-exact measure.
+  /// In-memory footprint: the capacities of every column and string,
+  /// plus a flat per-node charge for the totals/derived maps — the unit
+  /// of the store's decoded-profile cache budget.
   size_t decoded_bytes() const;
-
- private:
-  /// SYNB blob this profile was decoded from, if any; shared so Profile
-  /// copies stay cheap-ish and keep the payload (and, for mapped
-  /// blobs, the mapping) alive for delta_table().
-  std::shared_ptr<const sys::Blob> binary_;
 };
 
 }  // namespace synapse::profile

@@ -614,8 +614,7 @@ std::shared_ptr<const Profile> ProfileStore::find_latest_shared(
   if (all->empty()) return nullptr;
   // find_shared() orders by created_at (stable), so the true latest
   // recording is at the back even when concurrent writers interleaved
-  // insertions. The aliasing constructor keeps the whole snapshot (and
-  // with it any mmap the profile decodes from) alive.
+  // insertions. The aliasing constructor keeps the whole snapshot alive.
   return std::shared_ptr<const Profile>(all, &all->back());
 }
 

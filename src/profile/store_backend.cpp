@@ -81,7 +81,8 @@ using storedetail::unique_tmp_suffix;
 
 /// Open one stored profile file as a shared read-only buffer. SYNB
 /// files are mmap-ed when possible (`prefer_mmap`, decided from the
-/// file suffix) so decode is zero-copy against the page cache; JSON
+/// file suffix) so decode copies the columns straight out of the page
+/// cache; JSON
 /// files and mmap failures (ENOENT from a racing remove(), mmap-less
 /// filesystems) fall back to a buffered slurp. nullptr when the file
 /// vanished entirely.
@@ -95,15 +96,14 @@ std::shared_ptr<const sys::Blob> load_profile_blob(const std::string& path,
   return std::make_shared<const sys::StringBlob>(std::move(*data));
 }
 
-/// Decode a stored profile in either format, SYNB by magic sniff. The
-/// SYNB path hands the buffer itself to the profile (zero-copy, keeps
-/// an mmap alive for the profile's lifetime); the JSON path parses out
-/// of it by view.
-Profile parse_profile_blob(std::shared_ptr<const sys::Blob> blob) {
-  if (looks_like_binary_profile(blob->view())) {
-    return Profile::from_binary_view(std::move(blob));
+/// Decode a stored profile in either format, SYNB by magic sniff. Both
+/// paths read the buffer by view and copy out what they keep, so the
+/// mapping is released as soon as the caller drops `blob`.
+Profile parse_profile_blob(const sys::Blob& blob) {
+  if (looks_like_binary_profile(blob.view())) {
+    return Profile::from_binary(blob.view());
   }
-  return Profile::from_json(json::parse(blob->view()));
+  return Profile::from_json(json::parse(blob.view()));
 }
 
 /// Identity of a profile or envelope document: its top-level fields.
@@ -238,7 +238,7 @@ class FilesBackend : public StoreBackend {
       auto blob = load_profile_blob(directory_ + "/" + name,
                                     has_binary_profile_suffix(name));
       if (!blob) continue;  // racing remove()
-      Profile p = parse_profile_blob(std::move(blob));
+      Profile p = parse_profile_blob(*blob);
       // Sanitization can collide; verify the real identity.
       if (p.command == command && store_tags_key(p.tags) == tkey) {
         out.push_back(std::move(p));

@@ -1,14 +1,11 @@
 #pragma once
 // Shared immutable byte buffers, including mmap-backed ones.
 //
-// Profile::from_binary_view() decodes SYNB blobs straight out of a
-// Blob, and the files store backend maps .profile.synb files instead
-// of copying them through a std::string — the columnar decode views
-// (binary_codec.hpp) then read directly from the page cache with zero
-// copies. Blobs are reference counted (held by shared_ptr), so a
-// decoded Profile keeps its mapping alive for as long as the columnar
-// fast path may touch it — including past an unlink() of the file
-// (POSIX keeps mapped pages until the last munmap).
+// The files store backend maps .profile.synb files instead of copying
+// them through a std::string, so the SYNB decoder copies the columns
+// straight out of the page cache into the profile; the mapping is
+// dropped with the last reference to its Blob, after decode. POSIX
+// keeps mapped pages readable past an unlink() of the file.
 //
 // Mapping a file that a writer later TRUNCATES would raise SIGBUS on
 // access; the store's profile files are immutable once link()-claimed

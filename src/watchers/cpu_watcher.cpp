@@ -18,17 +18,18 @@ void CpuWatcher::sample(double now) {
   const auto snap = backend_->read();
   if (!snap) return;  // process gone: miss the sample, don't fail
 
-  profile::Sample s;
-  s.set(m::kCyclesUsed, static_cast<double>(snap->cycles));
-  s.set(m::kInstructions, static_cast<double>(snap->instructions));
-  s.set(m::kCyclesStalledFrontend,
-        static_cast<double>(snap->stalled_frontend));
-  s.set(m::kCyclesStalledBackend, static_cast<double>(snap->stalled_backend));
-  s.set(m::kTaskClock, snap->task_clock_seconds);
+  auto& rows = series_.samples;
+  const size_t row = rows.add_row(now);
+  rows.set(row, m::kCyclesUsed, static_cast<double>(snap->cycles));
+  rows.set(row, m::kInstructions, static_cast<double>(snap->instructions));
+  rows.set(row, m::kCyclesStalledFrontend,
+           static_cast<double>(snap->stalled_frontend));
+  rows.set(row, m::kCyclesStalledBackend,
+           static_cast<double>(snap->stalled_backend));
+  rows.set(row, m::kTaskClock, snap->task_clock_seconds);
   if (const auto stat = sys::read_proc_stat(config_.pid)) {
-    s.set(m::kNumThreads, static_cast<double>(stat->num_threads));
+    rows.set(row, m::kNumThreads, static_cast<double>(stat->num_threads));
   }
-  record(now, std::move(s));
 }
 
 std::optional<double> CpuWatcher::activity_counter() {

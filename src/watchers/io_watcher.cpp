@@ -11,33 +11,32 @@ void IoWatcher::sample(double now) {
   const auto io = sys::read_proc_io(config_.pid);
   if (!io) return;
 
-  profile::Sample s;
+  auto& rows = series_.samples;
+  const size_t row = rows.add_row(now);
   // rchar/wchar cover cache-served I/O as well — that is what the
   // emulation must reproduce (the application *requested* those bytes).
   const auto rchar = static_cast<double>(io->rchar);
   const auto wchar = static_cast<double>(io->wchar);
   const auto syscr = static_cast<double>(io->syscr);
   const auto syscw = static_cast<double>(io->syscw);
-  s.set(m::kBytesRead, rchar);
-  s.set(m::kBytesWritten, wchar);
-  s.set(m::kReadOps, syscr);
-  s.set(m::kWriteOps, syscw);
+  rows.set(row, m::kBytesRead, rchar);
+  rows.set(row, m::kBytesWritten, wchar);
+  rows.set(row, m::kReadOps, syscr);
+  rows.set(row, m::kWriteOps, syscw);
 
   if (config_.estimate_block_sizes && have_prev_) {
     const double dr = rchar - prev_rchar_;
     const double dw = wchar - prev_wchar_;
     const double dor = syscr - prev_syscr_;
     const double dow = syscw - prev_syscw_;
-    if (dor > 0) s.set(m::kBlockSizeRead, dr / dor);
-    if (dow > 0) s.set(m::kBlockSizeWrite, dw / dow);
+    if (dor > 0) rows.set(row, m::kBlockSizeRead, dr / dor);
+    if (dow > 0) rows.set(row, m::kBlockSizeWrite, dw / dow);
   }
   prev_rchar_ = rchar;
   prev_wchar_ = wchar;
   prev_syscr_ = syscr;
   prev_syscw_ = syscw;
   have_prev_ = true;
-
-  record(now, std::move(s));
 }
 
 std::optional<double> IoWatcher::activity_counter() {

@@ -14,13 +14,14 @@ void MemWatcher::sample(double now) {
   const auto status = sys::read_proc_status(config_.pid);
   if (!status) return;
 
-  profile::Sample s;
-  s.set(m::kMemResident, static_cast<double>(status->vm_rss_bytes));
+  auto& rows = series_.samples;
+  const size_t row = rows.add_row(now);
+  rows.set(row, m::kMemResident, static_cast<double>(status->vm_rss_bytes));
   // Some sandboxed kernels omit VmHWM; the running maximum of VmRSS is
   // the natural fallback (it is what VmHWM tracks).
-  s.set(m::kMemPeak, static_cast<double>(
-                         std::max(status->vm_hwm_bytes, status->vm_rss_bytes)));
-  record(now, std::move(s));
+  rows.set(row, m::kMemPeak,
+           static_cast<double>(
+               std::max(status->vm_hwm_bytes, status->vm_rss_bytes)));
 }
 
 std::optional<double> MemWatcher::activity_counter() {

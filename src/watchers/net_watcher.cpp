@@ -60,12 +60,12 @@ void NetWatcher::sample(double now) {
   const auto t = read_netdev_totals(include_loopback_);
   if (!t) return;
 
-  profile::Sample s;
-  s.set(m::kNetBytesRead,
-        static_cast<double>(t->rx_bytes - baseline_.rx_bytes));
-  s.set(m::kNetBytesWritten,
-        static_cast<double>(t->tx_bytes - baseline_.tx_bytes));
-  record(now, std::move(s));
+  auto& rows = series_.samples;
+  const size_t row = rows.add_row(now);
+  rows.set(row, m::kNetBytesRead,
+           static_cast<double>(t->rx_bytes - baseline_.rx_bytes));
+  rows.set(row, m::kNetBytesWritten,
+           static_cast<double>(t->tx_bytes - baseline_.tx_bytes));
 }
 
 std::optional<double> NetWatcher::activity_counter() {

@@ -267,10 +267,8 @@ profile::Profile Profiler::run(sys::ChildProcess child,
       if (gate.burst_hz > 0) ts.sample_rate_hz = gate.burst_hz;
     }
     if (trace_has_counters && ts.watcher == "cpu") {
-      for (auto& s : ts.samples) {
-        s.values.erase(std::string(m::kCyclesUsed));
-        s.values.erase(std::string(m::kInstructions));
-      }
+      ts.samples.erase(m::kCyclesUsed);
+      ts.samples.erase(m::kInstructions);
     }
     p.series.push_back(std::move(ts));
   }

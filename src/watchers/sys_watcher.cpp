@@ -8,18 +8,18 @@ namespace synapse::watchers {
 namespace m = synapse::metrics;
 
 void SysWatcher::sample(double now) {
-  profile::Sample s;
-  if (const auto la = sys::read_loadavg()) {
-    s.set(m::kLoadCpu, la->load1);
+  const auto la = sys::read_loadavg();
+  const auto mi = sys::read_meminfo();
+  const bool has_memory = mi && mi->total_bytes > 0;
+  if (!la && !has_memory) return;
+  auto& rows = series_.samples;
+  const size_t row = rows.add_row(now);
+  if (la) rows.set(row, m::kLoadCpu, la->load1);
+  if (has_memory) {
+    rows.set(row, m::kLoadMemory,
+             1.0 - static_cast<double>(mi->available_bytes) /
+                       static_cast<double>(mi->total_bytes));
   }
-  if (const auto mi = sys::read_meminfo()) {
-    if (mi->total_bytes > 0) {
-      s.set(m::kLoadMemory,
-            1.0 - static_cast<double>(mi->available_bytes) /
-                      static_cast<double>(mi->total_bytes));
-    }
-  }
-  if (!s.values.empty()) record(now, std::move(s));
 }
 
 std::optional<double> SysWatcher::activity_counter() {
@@ -34,9 +34,10 @@ void SysWatcher::finalize(const std::vector<const Watcher*>& all,
   // Load is an ambient observation; store the run average.
   double sum = 0.0;
   size_t n = 0;
-  for (const auto& s : series_.samples) {
-    if (s.values.count(std::string(m::kLoadCpu)) > 0) {
-      sum += s.get(m::kLoadCpu);
+  if (const profile::MetricColumn* load = series_.samples.find(m::kLoadCpu)) {
+    for (size_t i = 0; i < load->values.size(); ++i) {
+      if (load->present[i] == 0) continue;
+      sum += load->values[i];
       ++n;
     }
   }

@@ -18,13 +18,14 @@ void TraceWatcher::sample(double now) {
   const auto counters = reader_->read();
   if (!counters) return;
 
-  profile::Sample s;
-  s.set(m::kFlops, static_cast<double>(counters->flops));
-  s.set(m::kInstructions, static_cast<double>(counters->instructions));
-  s.set(m::kCyclesUsed, static_cast<double>(counters->cycles));
-  s.set(m::kMemAllocated, static_cast<double>(counters->bytes_allocated));
-  s.set(m::kMemFreed, static_cast<double>(counters->bytes_freed));
-  record(now, std::move(s));
+  auto& rows = series_.samples;
+  const size_t row = rows.add_row(now);
+  rows.set(row, m::kFlops, static_cast<double>(counters->flops));
+  rows.set(row, m::kInstructions, static_cast<double>(counters->instructions));
+  rows.set(row, m::kCyclesUsed, static_cast<double>(counters->cycles));
+  rows.set(row, m::kMemAllocated,
+           static_cast<double>(counters->bytes_allocated));
+  rows.set(row, m::kMemFreed, static_cast<double>(counters->bytes_freed));
 }
 
 std::optional<double> TraceWatcher::activity_counter() {

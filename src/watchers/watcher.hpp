@@ -151,12 +151,6 @@ class Watcher {
   /// quiet for watchers that do not implement a probe.
   virtual std::optional<double> activity_counter() { return std::nullopt; }
 
-  /// Append a sample (helper for subclasses).
-  void record(double now, profile::Sample sample) {
-    sample.timestamp = now;
-    series_.samples.push_back(std::move(sample));
-  }
-
   WatcherConfig config_;
   profile::TimeSeries series_;
 

@@ -134,17 +134,16 @@ profile::Profile ScenarioSpec::make_profile() const {
     const double timestamp = static_cast<double>(i) * period;
     for (const auto& [metric, per_sample] : source.deltas) {
       auto& series = by_watcher[watcher_of(metric)];
-      if (series.watcher.empty()) series.watcher = watcher_of(metric);
-      if (series.samples.size() <= i) {
-        profile::Sample s;
-        s.timestamp = timestamp;
-        series.samples.push_back(std::move(s));
+      if (series.watcher.empty()) {
+        series.watcher = watcher_of(metric);
+        series.samples.reserve(source.samples);
       }
+      if (series.samples.size() <= i) series.samples.add_row(timestamp);
       if (profile::is_instantaneous_metric(metric)) {
-        series.samples[i].set(metric, per_sample);
+        series.samples.set(i, metric, per_sample);
       } else {
         cumulative[metric] += per_sample;
-        series.samples[i].set(metric, cumulative[metric]);
+        series.samples.set(i, metric, cumulative[metric]);
       }
     }
   }

@@ -3,8 +3,8 @@
 // against it. The fixture pins what Profile::delta_table() produced for
 // payload-less profiles while it still ran the per-sample map walk (the
 // SampleDelta maps re-shaped into a DeltaTable). The column kernel that
-// replaced the walk must reproduce it bit for bit, with and without a
-// retained SYNB payload.
+// replaced the walk must reproduce it bit for bit, on profiles built in
+// memory and on profiles decoded from SYNB.
 //
 // Fixture format (one line per record, '#' starts a comment):
 //   table LABEL ROWS FNV1A64 LANE_COUNT LANE...
@@ -44,15 +44,14 @@ inline profile::Profile fixed_profile(size_t samples) {
   trace.watcher = "trace";
   double cycles = 0, alloc = 0, bytes = 0;
   for (size_t i = 0; i < samples; ++i) {
-    profile::Sample s;
-    s.timestamp = 100.0 + static_cast<double>(i) * 0.1;
+    const size_t row =
+        trace.samples.add_row(100.0 + static_cast<double>(i) * 0.1);
     cycles += 1e6 + static_cast<double>(i);
     alloc += 128 * 1024;
     bytes += 32 * 1024;
-    s.set(m::kCyclesUsed, cycles);
-    s.set(m::kMemAllocated, alloc);
-    s.set(m::kBytesWritten, bytes);
-    trace.samples.push_back(std::move(s));
+    trace.samples.set(row, m::kCyclesUsed, cycles);
+    trace.samples.set(row, m::kMemAllocated, alloc);
+    trace.samples.set(row, m::kBytesWritten, bytes);
   }
   p.series.push_back(trace);
   return p;
@@ -72,11 +71,9 @@ inline profile::Profile variable_profile() {
   io.variable_rate = true;
   double b = 0;
   for (const double off : {0.0, 0.01, 0.02, 0.3, 0.31, 0.6}) {
-    profile::Sample s;
-    s.timestamp = 100.0 + off;
+    const size_t row = io.samples.add_row(100.0 + off);
     b += 4096;
-    s.set(m::kBytesWritten, b);
-    io.samples.push_back(std::move(s));
+    io.samples.set(row, m::kBytesWritten, b);
   }
   p.series.push_back(io);
 
@@ -86,11 +83,9 @@ inline profile::Profile variable_profile() {
   trace.variable_rate = true;
   double cycles = 0;
   for (const double off : {0.0, 0.15, 0.3, 0.45, 0.6}) {
-    profile::Sample s;
-    s.timestamp = 100.0 + off;
+    const size_t row = trace.samples.add_row(100.0 + off);
     cycles += 5e5;
-    s.set(m::kCyclesUsed, cycles);
-    trace.samples.push_back(std::move(s));
+    trace.samples.set(row, m::kCyclesUsed, cycles);
   }
   p.series.push_back(trace);
   return p;
@@ -117,12 +112,10 @@ inline std::vector<profile::Profile> codec_edge_profiles() {
   ts.watcher = "cpu";
   ts.sample_rate_hz = 5.0;
   for (int i = 0; i < 10; ++i) {
-    profile::Sample s;
-    s.timestamp = 100.0 + 0.2 * i;
-    s.values["cycles_used"] = 1e9 + i;           // dense
-    if (i % 3 == 0) s.values["io_wait"] = -0.5;  // sparse, negative
-    if (i == 7) s.values["rare"] = 1e300;        // near-max double
-    ts.samples.push_back(std::move(s));
+    const size_t row = ts.samples.add_row(100.0 + 0.2 * i);
+    ts.samples.set(row, "cycles_used", 1e9 + i);           // dense
+    if (i % 3 == 0) ts.samples.set(row, "io_wait", -0.5);  // sparse, negative
+    if (i == 7) ts.samples.set(row, "rare", 1e300);        // near-max double
   }
   holes.series.push_back(std::move(ts));
   profile::TimeSeries none;
@@ -148,21 +141,17 @@ inline std::vector<profile::Profile> codec_edge_profiles() {
   const double trajectory[] = {5.00, 5.01, 5.02, 5.03, 7.50, 7.51, 7.52};
   double cycles = 0.0;
   for (const double t : trajectory) {
-    profile::Sample s;
-    s.timestamp = t;
+    const size_t row = vcpu.samples.add_row(t);
     cycles += 1e6;
-    s.values["cycles_used"] = cycles;
-    vcpu.samples.push_back(std::move(s));
+    vcpu.samples.set(row, "cycles_used", cycles);
   }
   gated.series.push_back(std::move(vcpu));
   profile::TimeSeries fmem;
   fmem.watcher = "mem";  // fixed-rate sibling: flags byte stays 0
   fmem.sample_rate_hz = 10.0;
   for (int i = 0; i < 4; ++i) {
-    profile::Sample s;
-    s.timestamp = 5.0 + 0.1 * i;
-    s.values["mem_resident"] = 4096.0 * (i + 1);
-    fmem.samples.push_back(std::move(s));
+    const size_t row = fmem.samples.add_row(5.0 + 0.1 * i);
+    fmem.samples.set(row, "mem_resident", 4096.0 * (i + 1));
   }
   gated.series.push_back(std::move(fmem));
   out.push_back(std::move(gated));

@@ -27,9 +27,9 @@ class SharedCounterWatcher final : public watchers::Watcher {
       : Watcher(std::move(name)), counter_(counter) {}
 
   void sample(double now) override {
-    synapse::profile::Sample s;
-    s.set("custom.shared", static_cast<double>(counter_->load()));
-    record(now, std::move(s));
+    const size_t row = series_.samples.add_row(now);
+    series_.samples.set(row, "custom.shared",
+                        static_cast<double>(counter_->load()));
   }
 
  protected:

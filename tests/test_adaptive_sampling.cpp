@@ -38,9 +38,9 @@ class PulseWatcher final : public watchers::Watcher {
   PulseWatcher() : Watcher("pulse") {}
 
   void sample(double now) override {
-    synapse::profile::Sample s;
-    s.set("custom.pulse", static_cast<double>(counter_.load()));
-    record(now, std::move(s));
+    const size_t row = series_.samples.add_row(now);
+    series_.samples.set(row, "custom.pulse",
+                        static_cast<double>(counter_.load()));
   }
 
   void bump(long amount = 1) { counter_.fetch_add(amount); }
@@ -93,7 +93,7 @@ TEST(WatcherPoll, BaseClassWithoutProbeStaysQuiet) {
   class NoProbe final : public watchers::Watcher {
    public:
     NoProbe() : Watcher("noprobe") {}
-    void sample(double now) override { record(now, {}); }
+    void sample(double now) override { series_.samples.add_row(now); }
   };
   NoProbe w;
   EXPECT_DOUBLE_EQ(w.poll(), 0.0);
@@ -196,8 +196,8 @@ TEST(AdaptiveScheduler, EdgeReopensGateAndBurstIsDenselySampled) {
   // Dense burst coverage: several samples landed inside the active
   // window at (near-)burst spacing.
   size_t in_burst = 0;
-  for (const auto& s : ts.samples) {
-    if (s.timestamp >= burst_start && s.timestamp <= deadline) ++in_burst;
+  for (const double t : ts.samples.timestamps()) {
+    if (t >= burst_start && t <= deadline) ++in_burst;
   }
   EXPECT_GE(in_burst, 5u);
   // ...while the total stays adaptive: well under 100 Hz * ~0.9 s.

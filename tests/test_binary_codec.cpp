@@ -1,13 +1,18 @@
 // SYNB binary columnar container (profile/binary_codec.hpp): lossless
-// round trips across the scenario catalog with replay deltas that
-// match the pinned map-walk tables (fixtures/delta_tables.golden) bit
-// for bit, size bounds against compact JSON, and loud rejection of
+// round trips across the scenario catalog that match the pinned decoded
+// profiles (fixtures/decoded_profiles.golden), replay deltas that match
+// the pinned map-walk tables (fixtures/delta_tables.golden) bit for bit,
+// size bounds against compact JSON, and loud rejection of
 // truncated/corrupt/foreign payloads.
 
 #include "profile/binary_codec.hpp"
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <limits>
+#include <map>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -39,6 +44,25 @@ std::vector<profile::Profile> fixture_profiles() {
   return out;
 }
 
+/// True when delta_table() of `p` builds few rows. Variable-rate rows
+/// are the distinct timestamps; fixed-rate rows cover the recorded span
+/// at the fastest rate, which a corrupt timestamp or rate can stretch to
+/// billions.
+bool bounded_rows(const profile::Profile& p) {
+  if (p.variable_rate()) return true;
+  double rate = p.sample_rate_hz;
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -lo;
+  for (const auto& ts : p.series) {
+    rate = std::max(rate, ts.sample_rate_hz);
+    for (const double t : ts.samples.timestamps()) {
+      lo = std::min(lo, t);
+      hi = std::max(hi, t);
+    }
+  }
+  return !(lo <= hi) || (hi - lo) * rate < 1e6;
+}
+
 }  // namespace
 
 TEST(BinaryCodec, RoundTripIsLosslessAcrossCatalog) {
@@ -56,12 +80,11 @@ TEST(BinaryCodec, RoundTripIsLosslessAcrossCatalog) {
 
 TEST(BinaryCodec, ColumnarDeltasMatchMapWalkBitForBit) {
   // The retired map walk's tables are pinned in
-  // fixtures/delta_tables.golden; the kernel over a decoded payload's
+  // fixtures/delta_tables.golden; the kernel over a decoded profile's
   // columns must reproduce them.
   for (const auto& g : delta_golden::golden_profiles()) {
     const profile::Profile decoded =
         profile::Profile::from_binary(g.profile.to_binary());
-    ASSERT_TRUE(decoded.has_binary_payload());
     delta_golden::expect_table_matches_golden(g.label, decoded.delta_table());
     if (g.cells) {
       delta_golden::expect_deltas_match_golden(g.label,
@@ -87,18 +110,32 @@ TEST(BinaryCodec, V2CarriesVariableRateAndGateMetadata) {
   EXPECT_TRUE(back.variable_rate());
 }
 
-TEST(BinaryCodec, DropBinaryPayloadFallsBackToMapWalk) {
-  const profile::Profile src = fixture_profiles().back();
-  ASSERT_EQ(src.command, "gated");
-  profile::Profile decoded = profile::Profile::from_binary(src.to_binary());
-  delta_golden::expect_deltas_match_golden("codec:gated",
-                                           decoded.sample_deltas());
-  decoded.drop_binary_payload();
-  EXPECT_FALSE(decoded.has_binary_payload());
-  delta_golden::expect_deltas_match_golden("codec:gated",
-                                           decoded.sample_deltas());
-  delta_golden::expect_table_matches_golden("codec:gated",
-                                            decoded.delta_table());
+TEST(BinaryCodec, DecodedProfilesMatchGoldenFixture) {
+  // fixtures/decoded_profiles.golden holds the JSON projection of every
+  // golden profile after a SYNB round trip, recorded while samples were
+  // still stored as one map each. Built, decoded and re-parsed profiles
+  // must all still print it byte for byte.
+  std::map<std::string, std::string> golden;
+  std::ifstream in(SYNAPSE_TEST_FIXTURE_DIR "/decoded_profiles.golden");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    const size_t space = line.find(' ');
+    golden[line.substr(0, space)] = line.substr(space + 1);
+  }
+  const auto profiles = delta_golden::golden_profiles();
+  ASSERT_EQ(golden.size(), profiles.size());
+  for (const auto& g : profiles) {
+    SCOPED_TRACE(g.label);
+    ASSERT_EQ(golden.count(g.label), 1u);
+    const std::string& want = golden.at(g.label);
+    const profile::Profile decoded =
+        profile::Profile::from_binary(g.profile.to_binary());
+    EXPECT_EQ(json::dump(g.profile.to_json()), want);
+    EXPECT_EQ(json::dump(decoded.to_json()), want);
+    const auto reparsed = profile::Profile::from_json(json::parse(want));
+    EXPECT_EQ(json::dump(reparsed.to_json()), want);
+  }
 }
 
 TEST(BinaryCodec, BinaryIsAtMostHalfOfCompactJsonOnCatalog) {
@@ -149,7 +186,7 @@ TEST(BinaryCodec, RejectsWrongMagic) {
   std::string blob = fixture_profiles().front().to_binary();
   blob[0] = 'X';
   try {
-    profile::decode_binary(blob);
+    profile::Profile::from_binary(blob);
     FAIL() << "expected CodecError";
   } catch (const CodecError& e) {
     EXPECT_NE(std::string(e.what()).find("magic"), std::string::npos)
@@ -161,7 +198,7 @@ TEST(BinaryCodec, RejectsUnsupportedVersion) {
   std::string blob = fixture_profiles().front().to_binary();
   blob[4] = 9;  // version u32 lives right after the magic
   try {
-    profile::decode_binary(blob);
+    profile::Profile::from_binary(blob);
     FAIL() << "expected CodecError";
   } catch (const CodecError& e) {
     EXPECT_NE(std::string(e.what()).find("unsupported SYNB version 9"),
@@ -174,7 +211,7 @@ TEST(BinaryCodec, EveryTruncationThrowsWithDiagnostics) {
   const std::string blob = fixture_profiles().back().to_binary();
   for (size_t cut = 0; cut < blob.size(); ++cut) {
     try {
-      profile::decode_binary(std::string_view(blob).substr(0, cut));
+      profile::Profile::from_binary(std::string_view(blob).substr(0, cut));
       FAIL() << "cut at " << cut << " decoded";
     } catch (const CodecError& e) {
       // Diagnostics name the container, not just "error".
@@ -185,31 +222,73 @@ TEST(BinaryCodec, EveryTruncationThrowsWithDiagnostics) {
 }
 
 TEST(BinaryCodec, ByteMutationsNeverCrash) {
-  // Single-byte corruption must either still decode (payload bytes are
-  // arbitrary doubles) or throw CodecError — never crash or exhaust
-  // memory on a corrupt count.
-  const std::string blob = fixture_profiles().back().to_binary();
+  // Single-byte corruption of every golden profile's blob must either
+  // still decode (payload bytes are arbitrary doubles) or throw
+  // CodecError — never crash or exhaust memory on a corrupt count. A
+  // decoded mutant is a well-formed profile: it re-encodes losslessly
+  // and, where its row count is bounded, builds replay input. Inputs
+  // live in exactly-sized heap buffers so sanitizers see any overread.
   std::mt19937 rng(11);
-  for (int trial = 0; trial < 1000; ++trial) {
-    std::string mutated = blob;
-    const size_t pos =
-        std::uniform_int_distribution<size_t>(0, blob.size() - 1)(rng);
-    mutated[pos] = static_cast<char>(
-        std::uniform_int_distribution<int>(0, 255)(rng));
-    try {
-      const profile::Profile p = profile::decode_binary(mutated);
-      (void)p.sample_deltas();  // decoded fine: replay input must too
-    } catch (const CodecError&) {
-      // Expected for framing corruption.
+  std::string smallest;
+  for (const auto& g : delta_golden::golden_profiles()) {
+    SCOPED_TRACE(g.label);
+    const std::string blob = g.profile.to_binary();
+    if (smallest.empty() || blob.size() < smallest.size()) smallest = blob;
+    for (int trial = 0; trial < 1000; ++trial) {
+      std::vector<char> mutated(blob.begin(), blob.end());
+      const size_t pos =
+          std::uniform_int_distribution<size_t>(0, blob.size() - 1)(rng);
+      mutated[pos] = static_cast<char>(
+          std::uniform_int_distribution<int>(0, 255)(rng));
+      std::optional<profile::Profile> p;
+      try {
+        p = profile::Profile::from_binary({mutated.data(), mutated.size()});
+      } catch (const CodecError&) {
+        continue;  // expected for framing corruption
+      }
+      const auto again = profile::Profile::from_binary(p->to_binary());
+      EXPECT_EQ(json::dump(again.to_json()), json::dump(p->to_json()))
+          << "byte " << pos;
+      if (bounded_rows(*p)) (void)p->delta_table();
     }
   }
-  SUCCEED();
+  for (size_t cut = 0; cut < smallest.size(); ++cut) {
+    const std::vector<char> prefix(smallest.begin(), smallest.begin() + cut);
+    EXPECT_THROW(profile::Profile::from_binary({prefix.data(), prefix.size()}),
+                 CodecError)
+        << "cut at " << cut;
+  }
+}
+
+TEST(BinaryCodec, RejectsMetricNamesOutOfOrder) {
+  // The decoder adopts the dictionary as the sorted column order, so it
+  // must be strictly ascending.
+  profile::Profile p;
+  profile::TimeSeries ts;
+  ts.watcher = "cpu";
+  const size_t row = ts.samples.add_row(0.0);
+  ts.samples.set(row, "aa", 1.0);
+  ts.samples.set(row, "ab", 2.0);
+  p.series.push_back(ts);
+  std::string blob = p.to_binary();
+  const size_t at = blob.rfind("ab");  // the dictionary, past the header
+  ASSERT_NE(at, std::string::npos);
+  for (const char second : {'a', '0'}) {  // duplicate, then descending
+    blob[at + 1] = second;
+    try {
+      profile::Profile::from_binary(blob);
+      FAIL() << "expected CodecError";
+    } catch (const CodecError& e) {
+      EXPECT_NE(std::string(e.what()).find("sorted order"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(BinaryCodec, TrailingGarbageRejected) {
   const std::string blob = fixture_profiles().front().to_binary() + "x";
   try {
-    profile::decode_binary(blob);
+    profile::Profile::from_binary(blob);
     FAIL() << "expected CodecError";
   } catch (const CodecError& e) {
     EXPECT_NE(std::string(e.what()).find("trailing"), std::string::npos)

@@ -29,12 +29,10 @@ profile::Profile synthetic_profile(double cycles_total, double bytes_total,
   trace.watcher = "trace";
   constexpr int kSamples = 4;
   for (int i = 1; i <= kSamples; ++i) {
-    profile::Sample s;
-    s.timestamp = 100.0 + i * 0.1;
-    s.set(m::kCyclesUsed, cycles_total * i / kSamples);
-    s.set(m::kMemAllocated, alloc_total * i / kSamples);
-    s.set(m::kBytesWritten, bytes_total * i / kSamples);
-    trace.samples.push_back(std::move(s));
+    const size_t row = trace.samples.add_row(100.0 + i * 0.1);
+    trace.samples.set(row, m::kCyclesUsed, cycles_total * i / kSamples);
+    trace.samples.set(row, m::kMemAllocated, alloc_total * i / kSamples);
+    trace.samples.set(row, m::kBytesWritten, bytes_total * i / kSamples);
   }
   p.series.push_back(std::move(trace));
   return p;

@@ -131,6 +131,57 @@ TEST(DocStore, SixteenMbLimitTrimsLargestArray) {
   EXPECT_GT(kept, original / 2);  // trims the tail, not the bulk
 }
 
+namespace {
+/// The stored form of a document: what get() returns, minus the `_id`
+/// the collection adds.
+std::string stored_dump(const ds::Collection& coll, uint64_t id) {
+  json::Value stored = *coll.get(id);
+  stored.as_object().erase("_id");
+  return json::dump(stored);
+}
+}  // namespace
+
+TEST(DocStore, StoredBytesIsTheDumpOfTheStoredDocument) {
+  ds::Collection coll("c");
+  // Fits as is.
+  const auto small = coll.insert(doc("small", 1));
+  EXPECT_FALSE(small.truncated);
+  EXPECT_EQ(small.stored_bytes, stored_dump(coll, small.id).size());
+
+  // Trimmed over several rounds, with the largest array nested inside
+  // an array of objects next to a smaller one.
+  json::Array samples;
+  json::Array other;
+  const std::string pad(200, 'x');
+  for (int i = 0; i < 120000; ++i) {
+    json::Object s;
+    s["t"] = i * 0.1;
+    s["pad"] = pad.substr(0, 100 + i % 100);
+    samples.push_back(json::Value(std::move(s)));
+    if (i % 10 == 0) other.push_back(json::Value(i));
+  }
+  json::Object series;
+  series["samples"] = std::move(samples);
+  json::Array all;
+  all.push_back(json::Value(std::move(series)));
+  json::Object o;
+  o["series"] = std::move(all);
+  o["other"] = std::move(other);
+  const auto big = coll.insert(json::Value(std::move(o)));
+  EXPECT_TRUE(big.truncated);
+  EXPECT_LE(big.stored_bytes, ds::kMaxDocumentBytes);
+  EXPECT_EQ(big.stored_bytes, stored_dump(coll, big.id).size());
+
+  // The last element of an array goes without a separator.
+  json::Object lone;
+  lone["blob"] =
+      json::Array{json::Value(std::string(ds::kMaxDocumentBytes, 'y'))};
+  const auto emptied = coll.insert(json::Value(std::move(lone)));
+  EXPECT_TRUE(emptied.truncated);
+  EXPECT_EQ(stored_dump(coll, emptied.id), "{\"blob\":[]}");
+  EXPECT_EQ(emptied.stored_bytes, stored_dump(coll, emptied.id).size());
+}
+
 TEST(DocStore, StorePersistsAndReloads) {
   const std::string dir = "/tmp/synapse_docstore_test";
   std::system(("rm -rf " + dir).c_str());

@@ -33,15 +33,14 @@ profile::Profile synthetic_profile(size_t samples, double cycles_per_sample,
   trace.watcher = "trace";
   double cycles = 0, bytes = 0, alloc = 0;
   for (size_t i = 0; i < samples; ++i) {
-    profile::Sample s;
-    s.timestamp = 100.0 + static_cast<double>(i) * 0.1;
+    const size_t row =
+        trace.samples.add_row(100.0 + static_cast<double>(i) * 0.1);
     cycles += cycles_per_sample;
     bytes += bytes_per_sample;
     alloc += alloc_per_sample;
-    s.set(m::kCyclesUsed, cycles);
-    s.set(m::kMemAllocated, alloc);
+    trace.samples.set(row, m::kCyclesUsed, cycles);
+    trace.samples.set(row, m::kMemAllocated, alloc);
     p.totals[std::string(m::kCyclesUsed)] = cycles;
-    trace.samples.push_back(std::move(s));
   }
   p.series.push_back(trace);
 
@@ -49,11 +48,9 @@ profile::Profile synthetic_profile(size_t samples, double cycles_per_sample,
   io.watcher = "io";
   double b = 0;
   for (size_t i = 0; i < samples; ++i) {
-    profile::Sample s;
-    s.timestamp = 100.0 + static_cast<double>(i) * 0.1;
+    const size_t row = io.samples.add_row(100.0 + static_cast<double>(i) * 0.1);
     b += bytes_per_sample;
-    s.set(m::kBytesWritten, b);
-    io.samples.push_back(std::move(s));
+    io.samples.set(row, m::kBytesWritten, b);
   }
   p.series.push_back(io);
   return p;

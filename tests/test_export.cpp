@@ -20,10 +20,8 @@ profile::Profile sample_profile(const std::string& cmd, double cycles) {
   p.sample_rate_hz = 10.0;
   profile::TimeSeries ts;
   ts.watcher = "cpu";
-  profile::Sample s;
-  s.timestamp = 100.5;
-  s.set(m::kCyclesUsed, cycles);
-  ts.samples.push_back(std::move(s));
+  const size_t row = ts.samples.add_row(100.5);
+  ts.samples.set(row, m::kCyclesUsed, cycles);
   p.series.push_back(std::move(ts));
   p.totals[std::string(m::kCyclesUsed)] = cycles;
   p.totals[std::string(m::kRuntime)] = 1.5;

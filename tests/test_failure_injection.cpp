@@ -75,10 +75,8 @@ TEST(FailureInjection, EmulationOfCorruptProfileIsBounded) {
   profile::TimeSeries ts;
   ts.watcher = "trace";
   for (int i = 0; i < 3; ++i) {
-    profile::Sample s;
-    s.timestamp = 1000.0 - i;  // decreasing timestamps
-    s.set(m::kCyclesUsed, i % 2 == 0 ? -1e9 : 1e6);
-    ts.samples.push_back(std::move(s));
+    const size_t row = ts.samples.add_row(1000.0 - i);  // decreasing
+    ts.samples.set(row, m::kCyclesUsed, i % 2 == 0 ? -1e9 : 1e6);
   }
   p.series.push_back(std::move(ts));
 

@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <random>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "delta_golden.hpp"
 #include "json/json.hpp"
 #include "profile/binary_codec.hpp"
+#include "profile/delta_frame.hpp"
 #include "profile/metrics.hpp"
 
 namespace json = synapse::json;
@@ -16,13 +21,12 @@ namespace m = synapse::metrics;
 
 namespace {
 
-profile::Sample sample_at(double t,
-                          std::initializer_list<std::pair<std::string_view, double>>
-                              values) {
-  profile::Sample s;
-  s.timestamp = t;
-  for (const auto& [k, v] : values) s.set(k, v);
-  return s;
+/// Append one row at `t` with the given cells.
+void add_sample(
+    profile::TimeSeries& ts, double t,
+    std::initializer_list<std::pair<std::string_view, double>> values) {
+  const size_t row = ts.samples.add_row(t);
+  for (const auto& [k, v] : values) ts.samples.set(row, k, v);
 }
 
 /// A profile with a cpu series (cumulative cycles) and an io series
@@ -34,23 +38,23 @@ profile::Profile make_profile() {
 
   profile::TimeSeries cpu;
   cpu.watcher = "cpu";
-  cpu.samples.push_back(sample_at(100.00, {{m::kCyclesUsed, 1000.0}}));
-  cpu.samples.push_back(sample_at(100.10, {{m::kCyclesUsed, 3000.0}}));
-  cpu.samples.push_back(sample_at(100.20, {{m::kCyclesUsed, 6000.0}}));
+  add_sample(cpu, 100.00, {{m::kCyclesUsed, 1000.0}});
+  add_sample(cpu, 100.10, {{m::kCyclesUsed, 3000.0}});
+  add_sample(cpu, 100.20, {{m::kCyclesUsed, 6000.0}});
   p.series.push_back(cpu);
 
   profile::TimeSeries io;
   io.watcher = "io";
   // Deliberately drifted by 30 ms relative to the cpu watcher.
-  io.samples.push_back(sample_at(100.03, {{m::kBytesWritten, 50.0}}));
-  io.samples.push_back(sample_at(100.13, {{m::kBytesWritten, 150.0}}));
-  io.samples.push_back(sample_at(100.23, {{m::kBytesWritten, 150.0}}));
+  add_sample(io, 100.03, {{m::kBytesWritten, 50.0}});
+  add_sample(io, 100.13, {{m::kBytesWritten, 150.0}});
+  add_sample(io, 100.23, {{m::kBytesWritten, 150.0}});
   p.series.push_back(io);
 
   profile::TimeSeries mem;
   mem.watcher = "mem";
-  mem.samples.push_back(sample_at(100.05, {{m::kMemResident, 4096.0}}));
-  mem.samples.push_back(sample_at(100.15, {{m::kMemResident, 8192.0}}));
+  add_sample(mem, 100.05, {{m::kMemResident, 4096.0}});
+  add_sample(mem, 100.15, {{m::kMemResident, 8192.0}});
   p.series.push_back(mem);
 
   p.totals[std::string(m::kRuntime)] = 0.25;
@@ -61,10 +65,14 @@ profile::Profile make_profile() {
 }  // namespace
 
 TEST(Profile, SampleGetSet) {
-  profile::Sample s;
-  EXPECT_DOUBLE_EQ(s.get(m::kFlops, 7.0), 7.0);
-  s.set(m::kFlops, 3.0);
-  EXPECT_DOUBLE_EQ(s.get(m::kFlops), 3.0);
+  profile::TimeSeries ts;
+  const size_t row = ts.samples.add_row(1.0);
+  EXPECT_EQ(ts.samples.find(m::kFlops), nullptr);
+  ts.samples.set(row, m::kFlops, 3.0);
+  ts.samples.set(row, m::kFlops, 7.0);  // a later value replaces
+  ASSERT_NE(ts.samples.find(m::kFlops), nullptr);
+  EXPECT_DOUBLE_EQ(ts.last(m::kFlops), 7.0);
+  EXPECT_EQ(ts.samples.find(m::kFlops)->present, (std::vector<uint8_t>{1}));
 }
 
 TEST(Profile, TimeSeriesLastAndMax) {
@@ -194,8 +202,7 @@ TEST_P(DeltaConservation, CyclesConserved) {
   double cumulative = 0.0;
   for (int i = 0; i < 50; ++i) {
     cumulative += 100.0 + 13.0 * (i % 7);
-    cpu.samples.push_back(
-        sample_at(200.0 + i / GetParam(), {{m::kCyclesUsed, cumulative}}));
+    add_sample(cpu, 200.0 + i / GetParam(), {{m::kCyclesUsed, cumulative}});
   }
   p.series.push_back(cpu);
 
@@ -225,10 +232,10 @@ TEST(Profile, EffectiveRateMeasuresRecordedSpan) {
   profile::TimeSeries ts;
   ts.sample_rate_hz = 100.0;
   EXPECT_DOUBLE_EQ(ts.effective_rate_hz(), 100.0);  // nothing to measure
-  ts.samples.push_back(sample_at(10.0, {{m::kCyclesUsed, 1.0}}));
+  add_sample(ts, 10.0, {{m::kCyclesUsed, 1.0}});
   EXPECT_DOUBLE_EQ(ts.effective_rate_hz(), 100.0);  // one sample: ditto
-  ts.samples.push_back(sample_at(12.0, {{m::kCyclesUsed, 2.0}}));
-  ts.samples.push_back(sample_at(14.0, {{m::kCyclesUsed, 3.0}}));
+  add_sample(ts, 12.0, {{m::kCyclesUsed, 2.0}});
+  add_sample(ts, 14.0, {{m::kCyclesUsed, 3.0}});
   // 2 gaps over 4 s -> 0.5 Hz, regardless of the nominal rate.
   EXPECT_DOUBLE_EQ(ts.effective_rate_hz(), 0.5);
 }
@@ -236,11 +243,11 @@ TEST(Profile, EffectiveRateMeasuresRecordedSpan) {
 TEST(Profile, GapStatsSummarizeInterSampleSpacing) {
   profile::TimeSeries ts;
   EXPECT_EQ(ts.gap_stats().gaps, 0u);
-  ts.samples.push_back(sample_at(0.0, {}));
+  add_sample(ts, 0.0, {});
   EXPECT_EQ(ts.gap_stats().gaps, 0u);
-  ts.samples.push_back(sample_at(0.1, {}));
-  ts.samples.push_back(sample_at(0.3, {}));
-  ts.samples.push_back(sample_at(1.3, {}));
+  add_sample(ts, 0.1, {});
+  add_sample(ts, 0.3, {});
+  add_sample(ts, 1.3, {});
   const auto g = ts.gap_stats();
   EXPECT_EQ(g.gaps, 3u);
   EXPECT_DOUBLE_EQ(g.min_s, 0.1);
@@ -261,7 +268,7 @@ TEST(Profile, VariableRateDeltasBucketOnRecordedTimestamps) {
   double cumulative = 0.0;
   for (const double t : times) {
     cumulative += 250.0;
-    cpu.samples.push_back(sample_at(t, {{m::kCyclesUsed, cumulative}}));
+    add_sample(cpu, t, {{m::kCyclesUsed, cumulative}});
   }
   p.series.push_back(cpu);
 
@@ -286,15 +293,15 @@ TEST(Profile, VariableRateDeltasUnionEdgesAcrossWatchers) {
   profile::TimeSeries cpu;
   cpu.watcher = "cpu";
   cpu.variable_rate = true;
-  cpu.samples.push_back(sample_at(10.0, {{m::kCyclesUsed, 100.0}}));
-  cpu.samples.push_back(sample_at(10.5, {{m::kCyclesUsed, 300.0}}));
+  add_sample(cpu, 10.0, {{m::kCyclesUsed, 100.0}});
+  add_sample(cpu, 10.5, {{m::kCyclesUsed, 300.0}});
   p.series.push_back(cpu);
   profile::TimeSeries io;
   io.watcher = "io";
   io.variable_rate = true;
-  io.samples.push_back(sample_at(10.2, {{m::kBytesWritten, 40.0}}));
-  io.samples.push_back(sample_at(10.5, {{m::kBytesWritten, 90.0}}));  // shared edge
-  io.samples.push_back(sample_at(11.0, {{m::kBytesWritten, 90.0}}));
+  add_sample(io, 10.2, {{m::kBytesWritten, 40.0}});
+  add_sample(io, 10.5, {{m::kBytesWritten, 90.0}});  // shared edge
+  add_sample(io, 11.0, {{m::kBytesWritten, 90.0}});
   p.series.push_back(io);
 
   const auto deltas = p.sample_deltas();
@@ -351,8 +358,7 @@ TEST(Profile, SampleDeltasBucketAtFastestSeriesRate) {
   cpu.watcher = "cpu";
   cpu.sample_rate_hz = 50.0;
   for (int i = 0; i < 5; ++i) {
-    cpu.samples.push_back(
-        sample_at(100.0 + i * 0.02, {{m::kCyclesUsed, (i + 1) * 100.0}}));
+    add_sample(cpu, 100.0 + i * 0.02, {{m::kCyclesUsed, (i + 1) * 100.0}});
   }
   p.series.push_back(cpu);
 
@@ -432,4 +438,104 @@ TEST(Profile, OutOfRangeSystemCountsAreRejected) {
   EXPECT_EQ(edge.total_memory_bytes, 18446744073709549568ull);
   system["total_memory_bytes"] = 18446744073709551616.0;  // 2^64
   EXPECT_THROW(profile::SystemInfo::from_json(system), json::JsonError);
+}
+
+TEST(Profile, RowViewWritesThroughToColumns) {
+  // A value edited through samples[i].values lands in the column the
+  // delta kernel reads: the next delta_table() sees it with no other
+  // call, on a built and on a decoded profile alike.
+  const profile::Profile built = make_profile();
+  for (profile::Profile p :
+       {built, profile::Profile::from_binary(built.to_binary())}) {
+    const uint32_t lane = p.delta_table().lanes().id(m::kCyclesUsed);
+    EXPECT_DOUBLE_EQ(p.delta_table().get(lane, 2), 3000.0);
+    for (auto& [metric, value] : p.series[0].samples[2].values) {
+      if (metric == m::kCyclesUsed) value = 9000.0;
+    }
+    EXPECT_DOUBLE_EQ(p.delta_table().get(lane, 2), 6000.0);
+    EXPECT_DOUBLE_EQ(p.series[0].last(m::kCyclesUsed), 9000.0);
+    const auto back = profile::Profile::from_binary(p.to_binary());
+    EXPECT_DOUBLE_EQ(back.series[0].samples.metrics()[0].values[2], 9000.0);
+  }
+}
+
+TEST(Profile, RowViewVisitsPresentCellsInSortedOrder) {
+  profile::TimeSeries ts;
+  add_sample(ts, 1.0, {{"b", 2.0}, {"a", 1.0}});
+  add_sample(ts, 2.0, {{"b", 3.0}});
+  add_sample(ts, 3.0, {{"c", 4.0}, {"a", 5.0}});
+  std::vector<std::vector<std::pair<std::string, double>>> rows;
+  const profile::TimeSeries& view = ts;
+  for (size_t i = 0; i < view.size(); ++i) {
+    auto& cells = rows.emplace_back();
+    for (const auto& [metric, value] : view.samples[i].values) {
+      cells.emplace_back(metric, value);
+    }
+  }
+  using Cells = std::vector<std::pair<std::string, double>>;
+  EXPECT_EQ(rows[0], (Cells{{"a", 1.0}, {"b", 2.0}}));
+  EXPECT_EQ(rows[1], (Cells{{"b", 3.0}}));
+  EXPECT_EQ(rows[2], (Cells{{"a", 5.0}, {"c", 4.0}}));
+  EXPECT_DOUBLE_EQ(view.samples[1].timestamp, 2.0);
+  ASSERT_EQ(ts.samples.metrics().size(), 3u);
+  EXPECT_EQ(ts.samples.metrics()[2].present,
+            (std::vector<uint8_t>{0, 0, 1}));
+  ts.samples.erase("b");
+  EXPECT_EQ(ts.samples.find("b"), nullptr);
+  EXPECT_EQ(ts.samples.metrics().size(), 2u);
+}
+
+TEST(Profile, DecodedBytesCountsEveryColumn) {
+  // The store's cache budget charges decoded_bytes(). Row-aligned
+  // columns cost 8 bytes per timestamp and 8 + 1 (value + presence) per
+  // metric slot, recorded or not; the estimate must not undercount them.
+  profile::Profile built;
+  profile::TimeSeries ts;
+  ts.watcher = "cpu";
+  constexpr size_t kRows = 5000;
+  for (size_t i = 0; i < kRows; ++i) {
+    const double x = static_cast<double>(i);
+    const size_t row = ts.samples.add_row(x);
+    ts.samples.set(row, m::kCyclesUsed, x);
+    ts.samples.set(row, m::kInstructions, 2 * x);
+    if (i % 7 == 0) ts.samples.set(row, m::kNumThreads, 4);
+  }
+  built.series.push_back(ts);
+  const size_t floor = kRows * 8 + 3 * kRows * 9;
+  EXPECT_GE(built.decoded_bytes(), floor);
+  const auto decoded = profile::Profile::from_binary(built.to_binary());
+  EXPECT_GE(decoded.decoded_bytes(), floor);
+  // ...and stays an estimate of the columns, not of some other copy.
+  EXPECT_LE(decoded.decoded_bytes(), 2 * floor);
+}
+
+TEST(Profile, JsonMutationsNeverCrash) {
+  // Single-byte corruption of a profile's JSON dump must either read
+  // back as a profile or throw JsonError/CodecError — never crash. What
+  // reads back is well formed: it round-trips through SYNB. Inputs live
+  // in exactly-sized heap buffers so sanitizers see any overread.
+  std::mt19937 rng(17);
+  for (const auto& g : delta_golden::golden_profiles()) {
+    SCOPED_TRACE(g.label);
+    const std::string dump = json::dump(g.profile.to_json());
+    for (int trial = 0; trial < 300; ++trial) {
+      std::vector<char> mutated(dump.begin(), dump.end());
+      const size_t pos =
+          std::uniform_int_distribution<size_t>(0, dump.size() - 1)(rng);
+      mutated[pos] = static_cast<char>(
+          std::uniform_int_distribution<int>(0, 255)(rng));
+      std::optional<profile::Profile> p;
+      try {
+        p = profile::Profile::from_json(
+            json::parse({mutated.data(), mutated.size()}));
+      } catch (const json::JsonError&) {
+        continue;
+      } catch (const profile::CodecError&) {
+        continue;
+      }
+      const auto again = profile::Profile::from_binary(p->to_binary());
+      EXPECT_EQ(json::dump(again.to_json()), json::dump(p->to_json()))
+          << "byte " << pos;
+    }
+  }
 }

@@ -39,13 +39,12 @@ profile::Profile synthetic_profile(size_t samples, double cycles_per_sample,
   trace.watcher = "trace";
   double cycles = 0, alloc = 0;
   for (size_t i = 0; i < samples; ++i) {
-    profile::Sample s;
-    s.timestamp = 100.0 + static_cast<double>(i) * 0.1;
+    const size_t row =
+        trace.samples.add_row(100.0 + static_cast<double>(i) * 0.1);
     cycles += cycles_per_sample;
     alloc += alloc_per_sample;
-    s.set(m::kCyclesUsed, cycles);
-    s.set(m::kMemAllocated, alloc);
-    trace.samples.push_back(std::move(s));
+    trace.samples.set(row, m::kCyclesUsed, cycles);
+    trace.samples.set(row, m::kMemAllocated, alloc);
   }
   p.series.push_back(trace);
 
@@ -53,11 +52,9 @@ profile::Profile synthetic_profile(size_t samples, double cycles_per_sample,
   io.watcher = "io";
   double b = 0;
   for (size_t i = 0; i < samples; ++i) {
-    profile::Sample s;
-    s.timestamp = 100.0 + static_cast<double>(i) * 0.1;
+    const size_t row = io.samples.add_row(100.0 + static_cast<double>(i) * 0.1);
     b += bytes_per_sample;
-    s.set(m::kBytesWritten, b);
-    io.samples.push_back(std::move(s));
+    io.samples.set(row, m::kBytesWritten, b);
   }
   p.series.push_back(io);
   return p;
@@ -252,11 +249,10 @@ TEST(ReplayEngine, NetworkFlagWiresNetworkAtom) {
   net.watcher = "net";
   double sent = 0;
   for (size_t i = 0; i < 3; ++i) {
-    profile::Sample s;
-    s.timestamp = 100.0 + static_cast<double>(i) * 0.1;
+    const size_t row =
+        net.samples.add_row(100.0 + static_cast<double>(i) * 0.1);
     sent += 32 * 1024;
-    s.set(m::kNetBytesWritten, sent);
-    net.samples.push_back(std::move(s));
+    net.samples.set(row, m::kNetBytesWritten, sent);
   }
   p.series.push_back(net);
 
@@ -464,11 +460,9 @@ profile::Profile variable_profile(const std::vector<double>& offsets) {
   io.variable_rate = true;
   double b = 0;
   for (const double off : offsets) {
-    profile::Sample s;
-    s.timestamp = 100.0 + off;
+    const size_t row = io.samples.add_row(100.0 + off);
     b += 1024;
-    s.set(m::kBytesWritten, b);
-    io.samples.push_back(std::move(s));
+    io.samples.set(row, m::kBytesWritten, b);
   }
   p.series.push_back(io);
   return p;
@@ -507,10 +501,9 @@ profile::Profile busy_profile(size_t rows, double period) {
   ts.watcher = "busy";
   ts.sample_rate_hz = p.sample_rate_hz;
   for (size_t i = 0; i < rows; ++i) {
-    profile::Sample s;
-    s.timestamp = 100.0 + static_cast<double>(i) * period;
-    s.set(kBusyMetric, static_cast<double>(i) * period);
-    ts.samples.push_back(std::move(s));
+    const size_t row =
+        ts.samples.add_row(100.0 + static_cast<double>(i) * period);
+    ts.samples.set(row, kBusyMetric, static_cast<double>(i) * period);
   }
   p.series.push_back(std::move(ts));
   return p;

@@ -220,8 +220,9 @@ TEST(StoreBackend, MetaNamingUnregisteredBackendIsAHardError) {
 TEST(StoreBackend, FilesCacheSeesRemovesFromOtherStoreInstances) {
   // Two ProfileStore instances over one directory model two processes:
   // instance A's read cache must notice B's remove() even when a
-  // following put() restores the shard's profile-file count (the
-  // removal epoch breaks the mtime+count stamp collision).
+  // following put() restores the shard's profile-file count (every put
+  // and remove appends a byte to the shard's .generation file, so the
+  // stamp still moves).
   const std::string dir = "/tmp/synapse_store_remove_xproc";
   std::system(("rm -rf " + dir).c_str());
   {

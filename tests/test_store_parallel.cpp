@@ -1,6 +1,5 @@
 // ProfileStore's parallel cross-shard operations, the decoded-profile
-// byte budget, the mmap zero-copy read path and its lifetime
-// guarantees.
+// byte budget, the mmap read path and the lifetime of what it decodes.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -38,10 +37,8 @@ profile::Profile make_profile(const std::string& cmd,
   profile::TimeSeries ts;
   ts.watcher = "cpu";
   for (size_t i = 0; i < samples; ++i) {
-    profile::Sample s;
-    s.timestamp = 100.0 + 0.1 * static_cast<double>(i);
-    s.set(m::kCyclesUsed, 1000.0 * static_cast<double>(i + 1));
-    ts.samples.push_back(std::move(s));
+    const size_t row = ts.samples.add_row(100.0 + 0.1 * static_cast<double>(i));
+    ts.samples.set(row, m::kCyclesUsed, 1000.0 * static_cast<double>(i + 1));
   }
   p.series.push_back(std::move(ts));
   p.totals[std::string(m::kCyclesUsed)] = 1000.0 * static_cast<double>(samples);
@@ -67,13 +64,13 @@ bool deltas_equal(const std::vector<profile::SampleDelta>& a,
 
 }  // namespace
 
-// --- mmap zero-copy decode --------------------------------------------------
+// --- mmap decode -------------------------------------------------------------
 
 TEST(MmapProfileDecode, BitIdenticalToBufferedAcrossBuiltinCatalog) {
-  // Every builtin scenario profile, encoded once, decoded twice: through
+  // Every builtin scenario profile, encoded once, decoded twice: out of
   // an mmap-backed Blob (the files backend's read path for *.synb) and
-  // through the buffered from_binary path. Identical JSON projections
-  // and identical sample_deltas — bit for bit.
+  // out of the encoded string. Identical JSON projections and identical
+  // sample_deltas — bit for bit.
   const std::string path =
       "/tmp/synapse_mmap_catalog_" + std::to_string(::getpid()) +
       ".profile.synb";
@@ -86,7 +83,8 @@ TEST(MmapProfileDecode, BitIdenticalToBufferedAcrossBuiltinCatalog) {
     }
     auto mapped = sys::MappedBlob::map(path);
     ASSERT_NE(mapped, nullptr) << spec.name;
-    const profile::Profile via_mmap = profile::Profile::from_binary_view(mapped);
+    const profile::Profile via_mmap =
+        profile::Profile::from_binary(mapped->view());
     const profile::Profile via_buffer = profile::Profile::from_binary(encoded);
 
     EXPECT_EQ(synapse::json::dump(via_mmap.to_json()),
@@ -95,34 +93,35 @@ TEST(MmapProfileDecode, BitIdenticalToBufferedAcrossBuiltinCatalog) {
     EXPECT_TRUE(deltas_equal(via_mmap.sample_deltas(),
                              via_buffer.sample_deltas()))
         << spec.name;
-    EXPECT_TRUE(via_mmap.has_binary_payload());
   }
   ::unlink(path.c_str());
 }
 
 TEST(MmapProfileDecode, DecodedProfileOutlivesFileDeletion) {
-  // The files backend serves *.synb reads straight from an mmap; a
-  // decoded Profile must keep that mapping (and with it the columnar
-  // fast path) alive past a concurrent remove() of the file.
+  // The files backend decodes *.synb reads out of an mmap and copies the
+  // columns out; a decoded Profile owns its data, so it stays whole past
+  // the end of that mapping and a concurrent remove() of the file.
   const std::string dir = fresh_dir("mmap_lifetime");
   profile::ProfileStoreOptions options;
   options.backend = "files";
   options.directory = dir;
   options.shards = 2;
   profile::ProfileStore store(options);
-  store.put(make_profile("held-cmd", {"x"}, 1.0, 64));
+  const profile::Profile put = make_profile("held-cmd", {"x"}, 1.0, 64);
+  store.put(put);
 
   const auto held = store.find_latest_shared("held-cmd", {"x"});
   ASSERT_NE(held, nullptr);
-  ASSERT_TRUE(held->has_binary_payload());
   const auto before = held->sample_deltas();
+  EXPECT_TRUE(deltas_equal(before, put.sample_deltas()));
 
   EXPECT_EQ(store.remove("held-cmd", {"x"}), 1u);
   EXPECT_TRUE(store.find("held-cmd", {"x"}).empty());
 
-  // The store no longer has the profile; the held snapshot still decodes
-  // (POSIX keeps mapped pages until the last munmap).
+  // The store no longer has the profile; the held snapshot is intact.
   EXPECT_EQ(held->command, "held-cmd");
+  EXPECT_EQ(synapse::json::dump(held->to_json()),
+            synapse::json::dump(put.to_json()));
   EXPECT_TRUE(deltas_equal(held->sample_deltas(), before));
   std::system(("rm -rf " + dir).c_str());
 }

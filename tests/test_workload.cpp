@@ -26,10 +26,9 @@ profile::Profile compute_profile(double seconds) {
   p.sample_rate_hz = 10.0;
   profile::TimeSeries trace;
   trace.watcher = "trace";
-  profile::Sample s;
-  s.timestamp = 100.0;
-  s.set(m::kCyclesUsed, seconds * resource::get_resource("host").turbo_hz);
-  trace.samples.push_back(std::move(s));
+  const size_t row = trace.samples.add_row(100.0);
+  trace.samples.set(row, m::kCyclesUsed,
+                    seconds * resource::get_resource("host").turbo_hz);
   p.series.push_back(std::move(trace));
   return p;
 }
